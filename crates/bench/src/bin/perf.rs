@@ -37,7 +37,8 @@
 //!   binary encodings, columnar encode/decode throughput, and the peak
 //!   resident chunk bytes of streamed replay — the quick smoke gates the
 //!   binary size to ≤ 1/8 of JSON, the decode floor, and the streaming
-//!   peak to a four-chunk budget (the O(chunk) memory claim);
+//!   peak to a two-chunk budget (the double-buffered O(chunk) memory
+//!   claim);
 //! * **predictive long-stream series** (since schema v8): each workload
 //!   row also records `sync_preserving` replay events/sec — the
 //!   single-pass sync-preserving predictive detector over its own
@@ -73,7 +74,9 @@ use spinrace_detector::{
     shard_occupancy, AnyDetector, DetectorConfig, MsmMode, RaceDetector, ReferenceDetector,
     NUM_SHARDS,
 };
-use spinrace_tracefmt::{decode_trace, encode_trace, ChunkedTraceReader, DEFAULT_CHUNK_EVENTS};
+use spinrace_tracefmt::{
+    chunk_mem, decode_trace, encode_trace, ChunkedTraceReader, DEFAULT_CHUNK_EVENTS,
+};
 use spinrace_vm::{Event, EventSink, Trace};
 use spinrace_workloads::{Family, WorkloadSpec};
 use std::io::Cursor;
@@ -200,6 +203,9 @@ struct CodecRow {
     decode_events_per_sec: f64,
     streaming_chunks: u32,
     streaming_peak_resident_bytes: usize,
+    /// Twice the largest chunk's [`chunk_mem`]: the most the two-buffer
+    /// decode-ahead pipeline may hold resident.
+    streaming_chunk_budget: usize,
 }
 
 /// Measure both trace encodings of an already-recorded stream: bytes on
@@ -222,6 +228,12 @@ fn measure_codec(trace: &Trace, cfg: DetectorConfig, min_secs: f64) -> CodecRow 
     let reader = ChunkedTraceReader::new(Cursor::new(&binary[..])).expect("open recorded trace");
     let stats = reader.replay_into(&mut det).expect("stream recorded trace");
     assert_eq!(stats.events, n as u64, "streamed replay saw every event");
+    let largest_chunk = trace
+        .events
+        .chunks(DEFAULT_CHUNK_EVENTS)
+        .map(chunk_mem)
+        .max()
+        .unwrap_or(0);
     CodecRow {
         json_bytes,
         binary_bytes: binary.len(),
@@ -229,6 +241,7 @@ fn measure_codec(trace: &Trace, cfg: DetectorConfig, min_secs: f64) -> CodecRow 
         decode_events_per_sec,
         streaming_chunks: stats.chunks,
         streaming_peak_resident_bytes: stats.peak_resident_bytes,
+        streaming_chunk_budget: 2 * largest_chunk,
     }
 }
 
@@ -603,10 +616,10 @@ fn main() {
     // Compression is deterministic (same stream → same bytes), so its
     // gate takes no noise margin; the decode floor gets the same /5 the
     // other throughput floors use. The streaming-peak bound is the
-    // O(chunk) claim made executable: the decode-ahead pipeline holds at
-    // most the chunk being detected plus the chunk being decoded plus
-    // one in the channel, so peak resident chunk memory must stay under
-    // four chunks' worth regardless of stream length.
+    // O(chunk) claim made executable: the decode-ahead pipeline recycles
+    // exactly two chunk buffers — the chunk being detected and the chunk
+    // being decoded — so peak resident chunk memory must stay within two
+    // chunks' worth regardless of stream length.
     for row in &workload_rows {
         let c = &row.codec;
         if quick && c.binary_bytes * COMPRESSION_GATE_DENOM > c.json_bytes {
@@ -630,13 +643,12 @@ fn main() {
             );
             std::process::exit(1);
         }
-        let chunk_budget = 4 * DEFAULT_CHUNK_EVENTS * std::mem::size_of::<Event>();
-        if quick && c.streaming_peak_resident_bytes > chunk_budget {
+        if quick && c.streaming_peak_resident_bytes > c.streaming_chunk_budget {
             eprintln!(
                 "PERF REGRESSION: streaming replay of {} held {} bytes of decoded chunks at \
-                 peak, above the four-chunk budget of {} bytes — the reader is no longer \
-                 O(chunk)",
-                row.spec, c.streaming_peak_resident_bytes, chunk_budget,
+                 peak, above the two-chunk budget of {} bytes — the reader no longer \
+                 double-buffers",
+                row.spec, c.streaming_peak_resident_bytes, c.streaming_chunk_budget,
             );
             std::process::exit(1);
         }

@@ -938,10 +938,11 @@ fn stats(args: &[String]) -> i32 {
     match sniff_path(path) {
         TraceFormat::Binary => {
             let mut reader = open_stream(path);
+            let mut chunk = Vec::new();
             loop {
-                match reader.next_chunk() {
-                    Ok(Some(chunk)) => acc.add_chunk(&chunk),
-                    Ok(None) => break,
+                match reader.next_chunk_into(&mut chunk) {
+                    Ok(true) => acc.add_chunk(&chunk),
+                    Ok(false) => break,
                     Err(e) => {
                         eprintln!("error: {path}: {e}");
                         return 2;

@@ -33,15 +33,10 @@ use spinrace_detector::{AnyDetector, DetectorConfig, MsmMode};
 use spinrace_spinfind::{SpinCriteria, SpinFinder};
 use spinrace_synclib::{lower_to_spinlib_styled, LibStyle};
 use spinrace_tir::Module;
-use spinrace_tracefmt::{chunk_mem, ChunkedTraceReader, StreamStats};
-use spinrace_vm::{
-    run_module, Event, EventSink, RunSummary, Tee, Trace, TraceError, TraceRecorder, VmConfig,
-};
+use spinrace_tracefmt::{ChunkedTraceReader, StreamStats};
+use spinrace_vm::{run_module, EventSink, RunSummary, Tee, Trace, TraceRecorder, VmConfig};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A configured analysis session over one source module.
@@ -277,7 +272,7 @@ impl PreparedModule {
     pub fn try_run_streamed_observed<R, F>(
         &self,
         req: &DetectRequest,
-        mut reader: ChunkedTraceReader<R>,
+        reader: ChunkedTraceReader<R>,
         mut observe: F,
     ) -> Result<(DetectOutcome, StreamStats), AnalyzeError>
     where
@@ -304,139 +299,73 @@ impl PreparedModule {
         let deadline = opts.watchdog.map(|d| (Instant::now() + d, d));
         let shadow_limit = opts.budget.max_shadow_bytes.unwrap_or(usize::MAX);
 
-        // The same decode-ahead pipeline as `ChunkedTraceReader::
-        // replay_into`, with the consumer side widened to many
-        // detectors plus budget/watchdog enforcement mirroring the
-        // engine's sequential pass (periodic checks every 4096 events).
-        let resident = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = sync_channel::<Result<Vec<Event>, TraceError>>(1);
-
-        let stats = std::thread::scope(|scope| -> Result<StreamStats, AnalyzeError> {
-            let decoder_resident = Arc::clone(&resident);
-            let decoder_peak = Arc::clone(&peak);
-            let reader = &mut reader;
-            scope.spawn(move || loop {
-                match reader.next_chunk() {
-                    Ok(Some(chunk)) => {
-                        let now = decoder_resident.fetch_add(chunk_mem(&chunk), Ordering::Relaxed)
-                            + chunk_mem(&chunk);
-                        decoder_peak.fetch_max(now, Ordering::Relaxed);
-                        // A closed receiver means the consumer bailed on
-                        // an earlier error; just stop decoding.
-                        if tx.send(Ok(chunk)).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(None) => return,
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
-                    }
+        // The tracefmt decode-ahead pipeline drives the detectors; this
+        // closure adds only the fan-out plus budget/watchdog enforcement
+        // mirroring the engine's sequential pass (periodic checks every
+        // 4096 events) and the per-chunk observer.
+        let mut events = 0u64;
+        let mut chunks = 0u32;
+        let stats = reader.for_each_chunk(|chunk| -> Result<(), AnalyzeError> {
+            for ev in chunk {
+                if truncated && events == limit {
+                    break;
                 }
-            });
-
-            let mut stats = StreamStats::default();
-            for msg in rx {
-                let chunk = msg.map_err(AnalyzeError::Trace)?;
-                for ev in &chunk {
-                    if truncated && stats.events == limit {
-                        break;
-                    }
-                    if stats.events & (PERIODIC_MASK as u64) == 0 {
-                        if let Some((at, d)) = deadline {
-                            if Instant::now() >= at {
-                                return Err(EngineError::Watchdog {
-                                    limit_ms: d.as_millis() as u64,
-                                }
-                                .into());
+                if events & (PERIODIC_MASK as u64) == 0 {
+                    if let Some((at, d)) = deadline {
+                        if Instant::now() >= at {
+                            return Err(EngineError::Watchdog {
+                                limit_ms: d.as_millis() as u64,
                             }
-                        }
-                        if shadow_limit != usize::MAX {
-                            for det in &dets {
-                                let bytes = det.shadow_resident_bytes();
-                                if bytes > shadow_limit {
-                                    return Err(EngineError::BudgetExhausted {
-                                        resource: BudgetResource::ShadowBytes,
-                                        limit: shadow_limit as u64,
-                                        used: bytes as u64,
-                                        partial: PartialMetrics {
-                                            events_processed: stats.events,
-                                            contexts: det.racy_contexts(),
-                                            shadow_bytes: bytes,
-                                        },
-                                    }
-                                    .into());
-                                }
-                            }
+                            .into());
                         }
                     }
-                    for det in &mut dets {
-                        det.on_event(ev);
-                    }
-                    stats.events += 1;
+                    check_shadow(&dets, shadow_limit, events)?;
                 }
-                stats.chunks += 1;
-                resident.fetch_sub(chunk_mem(&chunk), Ordering::Relaxed);
-                if truncated && stats.events == limit {
-                    let first = &dets[0];
-                    return Err(EngineError::BudgetExhausted {
-                        resource: BudgetResource::Events,
-                        limit,
-                        used: total,
-                        partial: PartialMetrics {
-                            events_processed: limit,
-                            contexts: first.racy_contexts(),
-                            shadow_bytes: first.shadow_resident_bytes(),
-                        },
-                    }
-                    .into());
+                for det in &mut dets {
+                    det.on_event(ev);
                 }
-                for (idx, det) in dets.iter().enumerate() {
-                    let reports = det.reports().reports();
-                    let new: Vec<DescribedReport> = reports[seen[idx]..]
-                        .iter()
-                        .map(|r| DescribedReport {
-                            location: self.module.describe_addr(r.addr),
-                            report: r.clone(),
-                        })
-                        .collect();
-                    seen[idx] = reports.len();
-                    observe(StreamProgress {
-                        target: idx,
-                        tool_label: &resolved[idx].0,
-                        chunk: stats.chunks,
-                        events: stats.events,
-                        contexts: det.racy_contexts(),
-                        new_reports: &new,
-                    });
-                }
+                events += 1;
             }
-            // Final shadow check: the periodic poll samples every 4096
-            // events, so a short stream that ends over budget lands here.
-            if shadow_limit != usize::MAX {
-                for det in &dets {
-                    let bytes = det.shadow_resident_bytes();
-                    if bytes > shadow_limit {
-                        return Err(EngineError::BudgetExhausted {
-                            resource: BudgetResource::ShadowBytes,
-                            limit: shadow_limit as u64,
-                            used: bytes as u64,
-                            partial: PartialMetrics {
-                                events_processed: stats.events,
-                                contexts: det.racy_contexts(),
-                                shadow_bytes: bytes,
-                            },
-                        }
-                        .into());
-                    }
+            chunks += 1;
+            if truncated && events == limit {
+                let first = &dets[0];
+                return Err(EngineError::BudgetExhausted {
+                    resource: BudgetResource::Events,
+                    limit,
+                    used: total,
+                    partial: PartialMetrics {
+                        events_processed: limit,
+                        contexts: first.racy_contexts(),
+                        shadow_bytes: first.shadow_resident_bytes(),
+                    },
                 }
+                .into());
             }
-            Ok(stats)
+            for (idx, det) in dets.iter().enumerate() {
+                let reports = det.reports().reports();
+                let new: Vec<DescribedReport> = reports[seen[idx]..]
+                    .iter()
+                    .map(|r| DescribedReport {
+                        location: self.module.describe_addr(r.addr),
+                        report: r.clone(),
+                    })
+                    .collect();
+                seen[idx] = reports.len();
+                observe(StreamProgress {
+                    target: idx,
+                    tool_label: &resolved[idx].0,
+                    chunk: chunks,
+                    events,
+                    contexts: det.racy_contexts(),
+                    new_reports: &new,
+                });
+            }
+            Ok(())
         })?;
+        // Final shadow check: the periodic poll samples every 4096
+        // events, so a short stream that ends over budget lands here.
+        check_shadow(&dets, shadow_limit, events)?;
 
-        let mut stats = stats;
-        stats.peak_resident_bytes = peak.load(Ordering::Relaxed);
         let outcomes = resolved
             .into_iter()
             .zip(dets)
@@ -534,6 +463,31 @@ impl PreparedModule {
             summary,
         }
     }
+}
+
+/// Fail with [`BudgetResource::ShadowBytes`] when any detector's
+/// resident shadow memory exceeds `limit` (`usize::MAX` = unlimited),
+/// carrying that detector's partial metrics after `events` events.
+fn check_shadow(dets: &[AnyDetector], limit: usize, events: u64) -> Result<(), EngineError> {
+    if limit == usize::MAX {
+        return Ok(());
+    }
+    for det in dets {
+        let bytes = det.shadow_resident_bytes();
+        if bytes > limit {
+            return Err(EngineError::BudgetExhausted {
+                resource: BudgetResource::ShadowBytes,
+                limit: limit as u64,
+                used: bytes as u64,
+                partial: PartialMetrics {
+                    events_processed: events,
+                    contexts: det.racy_contexts(),
+                    shadow_bytes: bytes,
+                },
+            });
+        }
+    }
+    Ok(())
 }
 
 /// One per-target, per-chunk progress report from
@@ -1137,6 +1091,16 @@ mod tests {
             assert_eq!(streamed.metrics, expected.metrics);
             assert_eq!(streamed.summary, expected.summary);
             assert_eq!(stats.events, run.trace().events.len() as u64);
+            // The decode-ahead pipeline recycles two buffers: at most two
+            // chunks are ever resident.
+            let largest = run
+                .trace()
+                .events
+                .chunks(8)
+                .map(spinrace_tracefmt::chunk_mem)
+                .max()
+                .unwrap();
+            assert!(stats.peak_resident_bytes <= 2 * largest);
         }
     }
 

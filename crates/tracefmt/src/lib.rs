@@ -259,6 +259,13 @@ mod tests {
         assert_eq!(stats.events, trace.events.len() as u64);
         assert!(stats.chunks >= 1);
         assert!(stats.peak_resident_bytes > 0);
+        // Two recycled buffers: never more than two chunks resident.
+        let largest = trace.events.chunks(4).map(chunk_mem).max().unwrap();
+        assert!(
+            stats.peak_resident_bytes <= 2 * largest,
+            "peak {} exceeds two chunks of {largest}",
+            stats.peak_resident_bytes
+        );
     }
 
     #[test]

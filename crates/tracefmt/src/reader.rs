@@ -3,21 +3,20 @@
 //! [`ChunkedTraceReader`] wraps any [`io::Read`] source, parses and
 //! validates the header block eagerly (magic, binary version, embedded
 //! trace header, checksum), then hands out decoded chunks one at a time.
-//! [`ChunkedTraceReader::replay_into`] drives a detector directly from
-//! the stream with a decode-ahead thread: while the detector consumes
-//! chunk *k*, chunk *k+1* is being read and decoded, so replay starts
-//! before the file has been fully read and peak memory stays bounded by
-//! a couple of chunks — O(chunk), not O(trace).
+//! [`ChunkedTraceReader::for_each_chunk`] is the one decode-ahead
+//! pipeline: while the consumer works on chunk *k*, chunk *k+1* is being
+//! read and decoded into the other of exactly two recycled buffers, so
+//! replay starts before the file has been fully read and peak memory
+//! stays bounded by two chunks — O(chunk), not O(trace).
 
 use crate::chunk::{decode_chunk_columns, NUM_COLUMNS};
 use crate::{fnv1a, BINARY_FORMAT_VERSION, MAGIC};
 use spinrace_vm::{
     Event, EventSink, RunSummary, Trace, TraceError, TraceHeader, TRACE_FORMAT_VERSION,
 };
-use std::io;
+use std::io::{self, Read as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
 
 /// Largest accepted embedded-JSON block (header or summary). Real
 /// headers are a few hundred bytes; the cap keeps a corrupt length from
@@ -36,16 +35,16 @@ pub struct StreamStats {
     /// Chunks decoded.
     pub chunks: u32,
     /// High-water mark of decoded-but-not-yet-consumed event memory
-    /// (bytes), across the decode-ahead pipeline. With chunked streaming
-    /// this is O(chunk); a whole-trace decode would make it O(trace).
+    /// (bytes), as [`chunk_mem`] counts it, across the decode-ahead
+    /// pipeline. With two recycled chunk buffers this is at most twice
+    /// the largest chunk; a whole-trace decode would make it O(trace).
     pub peak_resident_bytes: usize,
 }
 
 /// Approximate heap footprint of a decoded chunk — what the streaming
 /// pipeline holds resident per in-flight chunk. Exposed so external
-/// decode-ahead loops (e.g. multi-detector streamed detection) account
-/// resident memory the same way [`ChunkedTraceReader::replay_into`]
-/// does.
+/// decode-ahead loops account resident memory the same way
+/// [`ChunkedTraceReader::for_each_chunk`] does.
 pub fn chunk_mem(events: &[Event]) -> usize {
     let mut bytes = std::mem::size_of_val(events);
     for ev in events {
@@ -67,6 +66,9 @@ pub struct ChunkedTraceReader<R: io::Read> {
     events_read: u64,
     /// Set once the stream has been fully drained and finalized.
     done: bool,
+    /// Framed bytes of the chunk being read, reused across chunks: the
+    /// checksum covers them and the column decoder borrows from them.
+    raw: Vec<u8>,
 }
 
 /// Read one LEB128 varint from a byte stream, mirroring the slice-based
@@ -107,17 +109,19 @@ fn map_eof_truncated(e: io::Error) -> TraceError {
     }
 }
 
-/// Read exactly `len` bytes into a fresh buffer without trusting `len`
-/// for preallocation: a corrupt length never reserves more memory than
-/// the stream actually delivers.
-fn read_block<R: io::Read>(src: &mut R, len: u64) -> Result<Vec<u8>, TraceError> {
-    let mut buf = Vec::new();
-    let mut limited = <&mut R as io::Read>::take(&mut *src, len);
-    let copied = io::copy(&mut limited, &mut buf).map_err(|e| TraceError::Io(e.to_string()))?;
-    if copied != len {
+/// Append exactly `len` bytes from `src` to `buf` without trusting
+/// `len` for preallocation: `read_to_end` grows `buf` only as bytes
+/// arrive, so a corrupt length never reserves more memory than the
+/// stream actually delivers.
+fn read_block<R: io::Read>(src: &mut R, len: u64, buf: &mut Vec<u8>) -> Result<(), TraceError> {
+    let copied = src
+        .take(len)
+        .read_to_end(buf)
+        .map_err(|e| TraceError::Io(e.to_string()))?;
+    if copied as u64 != len {
         return Err(TraceError::Corrupt("unexpected end of stream".into()));
     }
-    Ok(buf)
+    Ok(())
 }
 
 impl<R: io::Read> ChunkedTraceReader<R> {
@@ -153,8 +157,9 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                 "implausible header block length".into(),
             ));
         }
-        let header_json = read_block(&mut src, header_len)?;
-        raw.extend_from_slice(&header_json);
+        let header_start = raw.len();
+        read_block(&mut src, header_len, &mut raw)?;
+        let header_span = header_start..raw.len();
 
         let summary_len = stream_uvarint(&mut src, &mut raw)?;
         if summary_len > MAX_JSON_BLOCK {
@@ -162,8 +167,9 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                 "implausible summary block length".into(),
             ));
         }
-        let summary_json = read_block(&mut src, summary_len)?;
-        raw.extend_from_slice(&summary_json);
+        let summary_start = raw.len();
+        read_block(&mut src, summary_len, &mut raw)?;
+        let summary_span = summary_start..raw.len();
 
         let mut counts = [0u8; 8];
         src.read_exact(&mut counts).map_err(map_eof_truncated)?;
@@ -177,7 +183,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
             return Err(TraceError::Corrupt("header block checksum mismatch".into()));
         }
 
-        let header_text = std::str::from_utf8(&header_json)
+        let header_text = std::str::from_utf8(&raw[header_span])
             .map_err(|_| TraceError::Corrupt("header block is not UTF-8".into()))?;
         let header: TraceHeader =
             serde_json::from_str(header_text).map_err(|e| TraceError::Json(e.0))?;
@@ -187,7 +193,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                 supported: TRACE_FORMAT_VERSION,
             });
         }
-        let summary_text = std::str::from_utf8(&summary_json)
+        let summary_text = std::str::from_utf8(&raw[summary_span])
             .map_err(|_| TraceError::Corrupt("summary block is not UTF-8".into()))?;
         let summary: RunSummary =
             serde_json::from_str(summary_text).map_err(|e| TraceError::Json(e.0))?;
@@ -201,6 +207,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
             chunks_read: 0,
             events_read: 0,
             done: false,
+            raw,
         })
     }
 
@@ -231,11 +238,27 @@ impl<R: io::Read> ChunkedTraceReader<R> {
         }
     }
 
-    /// Decode the next chunk, or `Ok(None)` once the stream is complete
-    /// and validated (event total, no trailing bytes).
+    /// Decode the next chunk into a fresh vector, or `Ok(None)` once
+    /// the stream is complete and validated (event total, no trailing
+    /// bytes).
     pub fn next_chunk(&mut self) -> Result<Option<Vec<Event>>, TraceError> {
+        let mut events = Vec::new();
+        Ok(self.append_chunk(&mut events)?.then_some(events))
+    }
+
+    /// Clear `events` and decode the next chunk into it, reusing its
+    /// allocation. Returns `Ok(false)` (leaving `events` empty) once the
+    /// stream is complete and validated.
+    pub fn next_chunk_into(&mut self, events: &mut Vec<Event>) -> Result<bool, TraceError> {
+        events.clear();
+        self.append_chunk(events)
+    }
+
+    /// Append the next chunk's events to `out`; `Ok(false)` once the
+    /// stream is complete and validated.
+    fn append_chunk(&mut self, out: &mut Vec<Event>) -> Result<bool, TraceError> {
         if self.done {
-            return Ok(None);
+            return Ok(false);
         }
         if self.chunks_read == self.chunk_count {
             // Finalize: the event total must match the header, and the
@@ -257,12 +280,12 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                 Err(e) => return Err(TraceError::Io(e.to_string())),
             }
             self.done = true;
-            return Ok(None);
+            return Ok(false);
         }
 
         // A chunk interrupted by EOF — anywhere inside it — is stream
         // truncation, reported as the chunk-count shortfall.
-        self.read_chunk().map(Some).map_err(|e| {
+        self.read_chunk(out).map(|()| true).map_err(|e| {
             if matches!(&e, TraceError::Corrupt(m) if m == "unexpected end of stream") {
                 self.truncated()
             } else {
@@ -271,8 +294,9 @@ impl<R: io::Read> ChunkedTraceReader<R> {
         })
     }
 
-    fn read_chunk(&mut self) -> Result<Vec<Event>, TraceError> {
-        let mut raw: Vec<u8> = Vec::with_capacity(4096);
+    fn read_chunk(&mut self, out: &mut Vec<Event>) -> Result<(), TraceError> {
+        let raw = &mut self.raw;
+        raw.clear();
 
         let mut nb = [0u8; 4];
         self.src.read_exact(&mut nb).map_err(map_eof_truncated)?;
@@ -284,7 +308,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
             )));
         }
 
-        let ncols = stream_uvarint(&mut self.src, &mut raw)?;
+        let ncols = stream_uvarint(&mut self.src, raw)?;
         if ncols != NUM_COLUMNS as u64 {
             return Err(TraceError::Corrupt(format!(
                 "chunk declares {ncols} columns, format has {}",
@@ -296,18 +320,18 @@ impl<R: io::Read> ChunkedTraceReader<R> {
         // after the checksum passes.
         let mut spans: [(usize, usize); NUM_COLUMNS] = [(0, 0); NUM_COLUMNS];
         for span in &mut spans {
-            let len = stream_uvarint(&mut self.src, &mut raw)?;
+            let len = stream_uvarint(&mut self.src, raw)?;
             if len > MAX_COLUMN_BYTES {
                 return Err(TraceError::Corrupt("implausible column length".into()));
             }
-            let block = read_block(&mut self.src, len)?;
-            *span = (raw.len(), block.len());
-            raw.extend_from_slice(&block);
+            let start = raw.len();
+            read_block(&mut self.src, len, raw)?;
+            *span = (start, raw.len() - start);
         }
 
         let mut sum = [0u8; 8];
         self.src.read_exact(&mut sum).map_err(map_eof_truncated)?;
-        if u64::from_le_bytes(sum) != fnv1a(&raw) {
+        if u64::from_le_bytes(sum) != fnv1a(raw) {
             return Err(TraceError::Checksum {
                 chunk: self.chunks_read,
             });
@@ -315,24 +339,23 @@ impl<R: io::Read> ChunkedTraceReader<R> {
 
         let cols: [&[u8]; NUM_COLUMNS] =
             std::array::from_fn(|i| &raw[spans[i].0..spans[i].0 + spans[i].1]);
-        let mut events = Vec::new();
-        decode_chunk_columns(n as usize, &cols, &mut events)?;
+        let before = out.len();
+        decode_chunk_columns(n as usize, &cols, out)?;
 
         self.chunks_read += 1;
-        self.events_read += events.len() as u64;
-        Ok(events)
+        self.events_read += (out.len() - before) as u64;
+        Ok(())
     }
 
-    /// Decode the entire stream into an in-memory [`Trace`].
+    /// Decode the entire stream into an in-memory [`Trace`], each chunk
+    /// straight into the whole-trace event vector.
     ///
     /// This is the non-streaming path (used by format conversion and the
     /// parallel replay engine, which shards over a full event slice);
-    /// for bounded-memory sequential replay use [`Self::replay_into`].
+    /// for bounded-memory sequential replay use [`Self::for_each_chunk`].
     pub fn read_all(mut self) -> Result<Trace, TraceError> {
         let mut events: Vec<Event> = Vec::new();
-        while let Some(chunk) = self.next_chunk()? {
-            events.extend(chunk);
-        }
+        while self.append_chunk(&mut events)? {}
         Ok(Trace {
             header: self.header,
             summary: self.summary,
@@ -340,61 +363,95 @@ impl<R: io::Read> ChunkedTraceReader<R> {
         })
     }
 
-    /// Replay the stream into `sink` with one chunk of decode-ahead.
+    /// Drive `consume` over every chunk of the stream with one chunk of
+    /// decode-ahead — the decode pipeline every streamed replay shares.
     ///
-    /// A scoped worker thread reads and decodes chunks; the caller's
-    /// thread feeds the sink. The bounded channel (capacity 1) means at
-    /// most two decoded chunks are resident at once — one being
-    /// consumed, one decoded ahead — so peak memory is O(chunk)
-    /// regardless of trace length. The returned [`StreamStats`] report
-    /// the observed high-water mark.
-    pub fn replay_into(mut self, sink: &mut dyn EventSink) -> Result<StreamStats, TraceError>
+    /// A scoped worker thread decodes chunk *k+1* while the caller's
+    /// thread runs `consume` on chunk *k*. Exactly two `Vec<Event>`
+    /// buffers ping-pong between them: the decoder fills a free buffer
+    /// and sends it over, the consumer hands it back once `consume`
+    /// returns, and the decoder waits for a returned buffer rather than
+    /// allocating a third. Peak decoded memory is therefore at most two
+    /// chunks regardless of trace length; the returned [`StreamStats`]
+    /// report the observed high-water mark.
+    ///
+    /// The first error wins: a decode error is returned once the
+    /// consumer reaches it, and an error from `consume` stops the
+    /// pipeline at once (the decoder sees the buffer-return channel
+    /// close and exits, so the scope's join never waits on it).
+    pub fn for_each_chunk<E, F>(mut self, mut consume: F) -> Result<StreamStats, E>
     where
         R: Send,
+        E: From<TraceError>,
+        F: FnMut(&[Event]) -> Result<(), E>,
     {
-        let resident = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = sync_channel::<Result<Vec<Event>, TraceError>>(1);
-
-        let stats = std::thread::scope(|scope| {
-            let decoder_resident = Arc::clone(&resident);
-            let decoder_peak = Arc::clone(&peak);
-            let reader = &mut self;
-            scope.spawn(move || loop {
-                match reader.next_chunk() {
-                    Ok(Some(chunk)) => {
-                        let now = decoder_resident.fetch_add(chunk_mem(&chunk), Ordering::Relaxed)
-                            + chunk_mem(&chunk);
-                        decoder_peak.fetch_max(now, Ordering::Relaxed);
-                        // A closed receiver means the consumer bailed on
-                        // an earlier error; just stop decoding.
-                        if tx.send(Ok(chunk)).is_err() {
+        let resident = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let reader = &mut self;
+        let mut stats = std::thread::scope(|scope| {
+            // Both channels live inside the scope closure, so every exit
+            // of the consumer loop below — `?`, early return or panic —
+            // drops `free_tx` and `full_rx` before the scope joins the
+            // decoder. A decoder blocked waiting for a free buffer then
+            // wakes to a closed channel instead of hanging the join.
+            let (full_tx, full_rx) = sync_channel::<Result<(Vec<Event>, usize), TraceError>>(2);
+            let (free_tx, free_rx) = sync_channel::<Vec<Event>>(2);
+            for _ in 0..2 {
+                free_tx.send(Vec::new()).expect("receiver is alive");
+            }
+            let (resident, peak) = (&resident, &peak);
+            scope.spawn(move || {
+                for mut buf in free_rx {
+                    match reader.next_chunk_into(&mut buf) {
+                        Ok(true) => {
+                            let mem = chunk_mem(&buf);
+                            let now = resident.fetch_add(mem, Ordering::Relaxed) + mem;
+                            peak.fetch_max(now, Ordering::Relaxed);
+                            // A closed receiver means the consumer bailed
+                            // on an earlier error; just stop decoding.
+                            if full_tx.send(Ok((buf, mem))).is_err() {
+                                return;
+                            }
+                        }
+                        Ok(false) => return,
+                        Err(e) => {
+                            let _ = full_tx.send(Err(e));
                             return;
                         }
-                    }
-                    Ok(None) => return,
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
                     }
                 }
             });
 
             let mut stats = StreamStats::default();
-            for msg in rx {
-                let chunk = msg?;
-                for ev in &chunk {
-                    sink.on_event(ev);
-                }
-                stats.events += chunk.len() as u64;
+            for msg in full_rx {
+                let (buf, mem) = msg?;
+                consume(&buf)?;
+                stats.events += buf.len() as u64;
                 stats.chunks += 1;
-                resident.fetch_sub(chunk_mem(&chunk), Ordering::Relaxed);
+                resident.fetch_sub(mem, Ordering::Relaxed);
+                // The decoder may already have exited (end of stream).
+                let _ = free_tx.send(buf);
             }
-            Ok(stats)
+            Ok::<_, E>(stats)
         })?;
-
-        let mut stats = stats;
-        stats.peak_resident_bytes = peak.load(Ordering::Relaxed);
+        stats.peak_resident_bytes = peak.into_inner();
         Ok(stats)
+    }
+
+    /// Replay the stream into `sink` through [`Self::for_each_chunk`]:
+    /// the two-buffer decode-ahead pipeline, so at most two decoded
+    /// chunks are resident at once — one being fed to the sink, one
+    /// decoded ahead — and peak memory is O(chunk) regardless of trace
+    /// length.
+    pub fn replay_into(self, sink: &mut dyn EventSink) -> Result<StreamStats, TraceError>
+    where
+        R: Send,
+    {
+        self.for_each_chunk(|chunk| {
+            for ev in chunk {
+                sink.on_event(ev);
+            }
+            Ok(())
+        })
     }
 }

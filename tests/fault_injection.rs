@@ -452,3 +452,223 @@ fn session_api_surfaces_engine_errors_and_budgets() {
     let via_run = run.run(&DetectRequest::own().parallel(4)).into_single();
     assert_eq!(via_run.contexts, baseline.contexts);
 }
+
+// ---- streamed replay: every early consumer exit releases the decoder ----
+
+use spinrace::core::{AnalyzeError, PreparedModule};
+use spinrace::tracefmt::{encode_trace_chunked, ChunkedTraceReader};
+use spinrace::vm::TraceError;
+use std::io::{self, Read};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+
+/// Events per chunk of the streamed scenarios: just over the 4096-event
+/// periodic check, so budget and watchdog trips land late in a chunk —
+/// long after the decoder has filled the other buffer and parked
+/// waiting for a free one.
+const STREAM_CHUNK: usize = 4200;
+
+/// Detectors fed per streamed scenario: a fan-out makes consuming a
+/// chunk several times slower than decoding one, so the decoder is
+/// reliably ahead when the consumer leaves.
+const STREAM_TARGETS: [Tool; 4] = [Tool::HelgrindLib; 4];
+
+/// An in-memory byte source that counts how far the decoder has read.
+struct Counting {
+    bytes: Arc<Vec<u8>>,
+    pulled: Arc<AtomicUsize>,
+}
+
+impl Read for Counting {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let at = self.pulled.load(Ordering::Relaxed);
+        let n = buf.len().min(self.bytes.len() - at);
+        buf[..n].copy_from_slice(&self.bytes[at..at + n]);
+        self.pulled.store(at + n, Ordering::Relaxed);
+        Ok(n)
+    }
+}
+
+fn counting(bytes: &Arc<Vec<u8>>) -> (Counting, Arc<AtomicUsize>) {
+    let pulled = Arc::new(AtomicUsize::new(0));
+    let src = Counting {
+        bytes: Arc::clone(bytes),
+        pulled: Arc::clone(&pulled),
+    };
+    (src, pulled)
+}
+
+/// How one streamed replay ended: its result (`None` when the observer
+/// panicked out of it), the last chunk the observer saw, and how many
+/// bytes the decode thread had pulled once the call returned.
+struct StreamExit {
+    result: Option<Result<(), AnalyzeError>>,
+    observed: u32,
+    pulled: usize,
+}
+
+/// Run a streamed replay on a helper thread whose observer sleeps a
+/// little per chunk and target — so the decode thread fills both
+/// buffers and waits for a free one — and panics at chunk `panic_at`. Fails the test if
+/// the call has not returned within [`BOUND`]: a hang in the decode
+/// pipeline's shutdown shows up here, not as a wedged test binary.
+fn stream_bounded(
+    prepared: &PreparedModule,
+    bytes: &Arc<Vec<u8>>,
+    req: DetectRequest,
+    panic_at: Option<u32>,
+) -> StreamExit {
+    let prepared = prepared.clone();
+    let (src, pulled) = counting(bytes);
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut observed = 0u32;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let reader = ChunkedTraceReader::new(src).expect("clean header");
+            prepared
+                .try_run_streamed_observed(&req, reader, |p| {
+                    observed = p.chunk;
+                    if Some(p.chunk) == panic_at {
+                        panic!("observer gave up at chunk {}", p.chunk);
+                    }
+                    std::thread::sleep(Duration::from_millis(3));
+                })
+                .map(drop)
+        }))
+        .ok();
+        let _ = tx.send(StreamExit {
+            result,
+            observed,
+            pulled: pulled.load(Ordering::Relaxed),
+        });
+    });
+    match rx.recv_timeout(BOUND) {
+        Ok(exit) => exit,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("streamed replay did not return within {BOUND:?}: decode pipeline hung")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("helper thread died"),
+    }
+}
+
+/// Every early exit of a streamed replay — event budget, shadow-byte
+/// budget, watchdog, decode error, panicking observer — returns the
+/// same structured outcome as before within a bounded time, with the
+/// decode thread joined. The decoder is held to strict double
+/// buffering: when the consumer leaves chunk *k*, the decoder has read
+/// exactly through chunk *k+1* (both buffers full) and no further.
+#[test]
+fn streamed_early_exits_never_hang_the_decoder() {
+    // A wide address space keeps shadow memory growing chunk to chunk.
+    let spec = WorkloadSpec::new(Family::Zipf)
+        .threads(4)
+        .events_per_thread(15_000)
+        .addr_space(1 << 16)
+        .seed(1);
+    let wl = spec.build();
+    let prepared = Session::for_module(&wl.module)
+        .vm_config(spec.vm_config())
+        .prepare(Tool::HelgrindLib)
+        .unwrap();
+    let trace = prepared.clone().execute().unwrap().into_trace();
+    let total = trace.events.len() as u64;
+    let bytes = Arc::new(encode_trace_chunked(&trace, STREAM_CHUNK));
+
+    // ends[k]: stream offset just past chunk k (ends[0] = header end).
+    let (src, pulled) = counting(&bytes);
+    let mut reader = ChunkedTraceReader::new(src).unwrap();
+    let mut ends = vec![pulled.load(Ordering::Relaxed)];
+    while reader.next_chunk().unwrap().is_some() {
+        ends.push(pulled.load(Ordering::Relaxed));
+    }
+    let chunks = ends.len() - 1;
+    assert!(chunks >= 12, "the stream must be long: {chunks} chunks");
+    let own = || DetectRequest::tools(&STREAM_TARGETS).streamed();
+
+    // Event budget: trips late in chunk 2, at the second periodic
+    // check, after the affordable prefix.
+    let exit = stream_bounded(
+        &prepared,
+        &bytes,
+        own().budget(Budget::default().with_max_events(8192)),
+        None,
+    );
+    let shadow_at_check = match exit.result {
+        Some(Err(AnalyzeError::Engine(EngineError::BudgetExhausted {
+            resource: BudgetResource::Events,
+            limit: 8192,
+            used,
+            partial,
+        }))) => {
+            assert_eq!(used, total);
+            assert_eq!(partial.events_processed, 8192);
+            partial.shadow_bytes
+        }
+        other => panic!("expected an event-budget error, got {other:?}"),
+    };
+    assert_eq!(exit.observed, 1);
+    assert_eq!(
+        exit.pulled, ends[3],
+        "decoder filled exactly one chunk ahead"
+    );
+
+    // Shadow-byte budget: one byte under what the event-8192 check
+    // sees, so it trips there — late in chunk 2 — and not before.
+    let exit = stream_bounded(
+        &prepared,
+        &bytes,
+        own().budget(Budget::default().with_max_shadow_bytes(shadow_at_check - 1)),
+        None,
+    );
+    match exit.result {
+        Some(Err(AnalyzeError::Engine(EngineError::BudgetExhausted {
+            resource: BudgetResource::ShadowBytes,
+            limit,
+            used,
+            partial,
+        }))) => {
+            assert_eq!(limit, shadow_at_check as u64 - 1);
+            assert_eq!(used, shadow_at_check as u64);
+            assert_eq!(partial.events_processed, 8192);
+        }
+        other => panic!("expected a shadow-budget error, got {other:?}"),
+    }
+    assert_eq!(exit.observed, 1);
+    assert_eq!(exit.pulled, ends[3]);
+
+    // Watchdog: the sleeping observer runs the clock out partway in.
+    let exit = stream_bounded(
+        &prepared,
+        &bytes,
+        own().watchdog(Duration::from_millis(20)),
+        None,
+    );
+    match exit.result {
+        Some(Err(AnalyzeError::Engine(EngineError::Watchdog { limit_ms: 20 }))) => {}
+        other => panic!("expected a watchdog error, got {other:?}"),
+    }
+    let tripped = exit.observed as usize + 1;
+    assert!(tripped < chunks, "watchdog tripped before the end");
+    assert_eq!(exit.pulled, ends[tripped + 1]);
+
+    // Decode error: a damaged checksum on chunk 8 surfaces once the
+    // consumer reaches it; the decoder stops at the damage.
+    let mut damaged = bytes.to_vec();
+    damaged[ends[8] - 1] ^= 0x01;
+    let damaged = Arc::new(damaged);
+    let exit = stream_bounded(&prepared, &damaged, own(), None);
+    match exit.result {
+        Some(Err(AnalyzeError::Trace(TraceError::Checksum { chunk: 7 }))) => {}
+        other => panic!("expected a chunk-7 checksum error, got {other:?}"),
+    }
+    assert_eq!(exit.observed, 7);
+    assert_eq!(exit.pulled, ends[8]);
+
+    // A panicking observer unwinds out of the call instead of leaving
+    // the decoder parked on a buffer that never comes back.
+    let exit = stream_bounded(&prepared, &bytes, own(), Some(3));
+    assert!(exit.result.is_none(), "the observer panic propagates");
+    assert_eq!(exit.observed, 3);
+    assert_eq!(exit.pulled, ends[4]);
+}

@@ -360,3 +360,96 @@ proptest! {
         prop_assert!(outcome.is_ok(), "byte-flipped binary decode panicked");
     }
 }
+
+// ---- streamed vs in-memory decode: one reader, one verdict ----
+
+use spinrace::core::{DetectRequest, PreparedModule};
+use spinrace::tracefmt::{chunk_mem, ChunkedTraceReader};
+use spinrace::vm::Event;
+use std::sync::OnceLock;
+
+/// A small spin-flag run recorded under lib+spin: the stream carries
+/// `SpinExit` events with non-empty read lists, so recycled chunk
+/// buffers must drop and rebuild nested allocations at every reuse.
+fn spin_recorded() -> &'static (PreparedModule, Trace) {
+    static RUN: OnceLock<(PreparedModule, Trace)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let spec = WorkloadSpec::new(Family::SpinFlag)
+            .threads(2)
+            .events_per_thread(6);
+        let wl = spec.build();
+        let prepared = Session::for_module(&wl.module)
+            .vm_config(spec.vm_config())
+            .prepare(Tool::HelgrindLibSpin { window: 7 })
+            .unwrap();
+        let trace = prepared.clone().execute().unwrap().into_trace();
+        assert!(
+            trace
+                .events
+                .iter()
+                .any(|e| matches!(e, Event::SpinExit { reads, .. } if !reads.is_empty())),
+            "the stream must exercise SpinExit read lists"
+        );
+        (prepared, trace)
+    })
+}
+
+/// The decode verdict of a streamed detection over `bytes`: `Ok` on a
+/// clean replay, the `TraceError` otherwise (open or mid-stream).
+fn streamed_verdict(prepared: &PreparedModule, bytes: &[u8]) -> Result<(), TraceError> {
+    let reader = ChunkedTraceReader::new(bytes)?;
+    match prepared.try_run_streamed(&DetectRequest::own().streamed(), reader) {
+        Ok(_) => Ok(()),
+        Err(AnalyzeError::Trace(e)) => Err(e),
+        Err(other) => panic!("streamed replay failed outside decode: {other}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The two-buffer streamed pipeline and the whole-trace decode share
+    /// one reader, so they must agree exactly: on clean input the same
+    /// events (across many recycled-buffer boundaries, short last
+    /// chunks included), and on every truncation offset and every byte
+    /// flip the same `TraceError`.
+    #[test]
+    fn streamed_and_in_memory_decode_agree(chunk in 3usize..=7, flip in 1u8..=255) {
+        let (prepared, trace) = spin_recorded();
+        let bytes = encode_trace_chunked(trace, chunk);
+
+        let decoded = decode_trace(&bytes).expect("clean stream decodes");
+        prop_assert_eq!(&decoded, trace);
+        let mut streamed: Vec<Event> = Vec::new();
+        let stats = ChunkedTraceReader::new(&bytes[..])
+            .unwrap()
+            .for_each_chunk(|c| {
+                streamed.extend_from_slice(c);
+                Ok::<_, TraceError>(())
+            })
+            .unwrap();
+        prop_assert_eq!(&streamed, &decoded.events);
+        let largest = trace.events.chunks(chunk).map(chunk_mem).max().unwrap_or(0);
+        prop_assert!(
+            stats.peak_resident_bytes <= 2 * largest,
+            "peak {} exceeds two chunks of {}",
+            stats.peak_resident_bytes,
+            largest
+        );
+        prop_assert_eq!(streamed_verdict(prepared, &bytes), Ok(()));
+
+        for cut in 0..bytes.len() {
+            let whole = decode_trace(&bytes[..cut]).map(drop);
+            prop_assert!(whole.is_err(), "truncation at {} decoded", cut);
+            prop_assert_eq!(streamed_verdict(prepared, &bytes[..cut]), whole, "truncated at {}", cut);
+        }
+        let mut bad = bytes.clone();
+        for pos in 0..bytes.len() {
+            bad[pos] ^= flip;
+            let whole = decode_trace(&bad).map(drop);
+            prop_assert!(whole.is_err(), "flip at {} decoded", pos);
+            prop_assert_eq!(streamed_verdict(prepared, &bad), whole, "flip at {}", pos);
+            bad[pos] ^= flip;
+        }
+    }
+}
