@@ -13,7 +13,8 @@
 //! * **events/sec** of the retained [`ReferenceDetector`] (slow full-VC
 //!   baseline) — the speedup column is recomputed, never quoted;
 //! * **parallel replay events/sec** of the sharded engine
-//!   (`spinrace_core::parallel::run_sharded`) at [`PARALLEL_WORKERS`]
+//!   (`spinrace_core::parallel::try_run_sharded_opts`, static shard
+//!   ownership) at [`PARALLEL_WORKERS`]
 //!   workers, plus a worker-count scaling curve on the longest stream —
 //!   the wall-clock payoff of partitioning detection along the shadow
 //!   shard seam (only meaningful on multi-core machines; the JSON records
@@ -29,10 +30,10 @@
 //!   runs on the longest of these streams instead of the old 151k-event
 //!   scaled-vips stream, whose size let the worker-pool spawn constant
 //!   colour the curve. Since schema v5 each row also records its
-//!   **per-shard occupancy histogram** (the skew the scheduler packs
-//!   around) and a **scheduled-vs-static pair** of parallel series: the
-//!   occupancy-balanced LPT schedule against static modular ownership,
-//!   on the same stream at the same width. Since schema v6 each row
+//!   **per-shard occupancy histogram** (the skew static shard ownership
+//!   leaves on one worker); schema v9 drops the v5–v8
+//!   balanced-vs-static series pair with the balanced scheduler. Since
+//!   schema v6 each row
 //!   also carries **trace-format figures**: bytes/event of the JSON and
 //!   binary encodings, columnar encode/decode throughput, and the peak
 //!   resident chunk bytes of streamed replay — the quick smoke gates the
@@ -69,7 +70,7 @@
 //! hash-table slip on the hot path), not CI-machine noise.
 
 use spinrace_bench::bench_tools;
-use spinrace_core::{parallel, DetectRequest, Schedule, Session, Tool};
+use spinrace_core::{parallel, DetectRequest, EngineOptions, Session, Tool};
 use spinrace_detector::{
     shard_occupancy, AnyDetector, DetectorConfig, MsmMode, RaceDetector, ReferenceDetector,
     NUM_SHARDS,
@@ -168,14 +169,11 @@ struct WorkloadRow {
     oracle: String,
     events: usize,
     replay_events_per_sec: f64,
-    /// Parallel series under the default occupancy-balanced schedule.
+    /// Parallel series at [`PARALLEL_WORKERS`] workers.
     parallel_replay_events_per_sec: f64,
-    /// The same width under static modular ownership — the pair the
-    /// balanced-vs-static gates compare.
-    parallel_static_events_per_sec: f64,
-    /// Plain accesses per shadow shard: the skew the scheduler packs
-    /// around, recorded so imbalance is observable without re-deriving
-    /// it from the stream.
+    /// Plain accesses per shadow shard: the skew static ownership
+    /// leaves on one worker, recorded so imbalance is observable without
+    /// re-deriving it from the stream.
     shard_occupancy: [u64; NUM_SHARDS],
     shadow_bytes: usize,
     contexts: usize,
@@ -303,13 +301,6 @@ fn measure_workloads(quick: bool, min_secs: f64) -> (Vec<WorkloadRow>, Trace, De
         let trace = run.trace();
         let replay_eps = measure_trace(trace, min_secs, || RaceDetector::new(cfg));
         let par_eps = measure_parallel(&trace.events, cfg, PARALLEL_WORKERS, min_secs);
-        let par_static_eps = measure_parallel_scheduled(
-            &trace.events,
-            cfg,
-            PARALLEL_WORKERS,
-            Schedule::Static,
-            min_secs,
-        );
         let occupancy = shard_occupancy(&trace.events);
         // One more replay with locations resolved, judged against the
         // workload's ground truth (exact victim/thread-pair matching —
@@ -348,13 +339,12 @@ fn measure_workloads(quick: bool, min_secs: f64) -> (Vec<WorkloadRow>, Trace, De
             sp_tool.label(),
         );
         println!(
-            "{:>14} {:<24} {:>8} events  (trace replay {:>6.2} M, parallel×{PARALLEL_WORKERS} balanced {:>6.2} M / static {:>6.2} M ev/s, hottest shard {:.2}x even)  shadow {} B [{}]",
+            "{:>14} {:<24} {:>8} events  (trace replay {:>6.2} M, parallel×{PARALLEL_WORKERS} {:>6.2} M ev/s, hottest shard {:.2}x even)  shadow {} B [{}]",
             wl.spec.family.name(),
             spec.name(),
             trace.events.len(),
             replay_eps / 1e6,
             par_eps / 1e6,
-            par_static_eps / 1e6,
             occ_max as f64 * NUM_SHARDS as f64 / occ_total.max(1) as f64,
             out.metrics.shadow_bytes,
             wl.oracle.describe(),
@@ -387,7 +377,6 @@ fn measure_workloads(quick: bool, min_secs: f64) -> (Vec<WorkloadRow>, Trace, De
             events: trace.events.len(),
             replay_events_per_sec: replay_eps,
             parallel_replay_events_per_sec: par_eps,
-            parallel_static_events_per_sec: par_static_eps,
             shard_occupancy: occupancy,
             shadow_bytes: out.metrics.shadow_bytes,
             contexts: out.contexts,
@@ -444,7 +433,7 @@ fn main() {
             let replay_eps = measure_trace(&trace, min_secs, || RaceDetector::new(cfg));
             // The sharded engine end to end: promotion-seed pre-pass,
             // event routing, worker pool, and fragment merge, each
-            // iteration — the real cost of `detect_parallel`.
+            // iteration — the real cost of a parallel `DetectRequest`.
             let par_eps = measure_parallel(events, cfg, PARALLEL_WORKERS, min_secs);
 
             // One more replay of each to read retained state, and hold the
@@ -459,7 +448,7 @@ fn main() {
                 "fast and reference detectors disagree on {name}/{}",
                 tool.label()
             );
-            let merged = parallel::run_sharded(cfg, events, PARALLEL_WORKERS);
+            let merged = run_parallel(cfg, events, PARALLEL_WORKERS);
             assert_eq!(
                 merged.reports.reports(),
                 det.reports().reports(),
@@ -662,13 +651,11 @@ fn main() {
     // can't hide under the absolute floor. The scaling stream is the
     // *skew-3 zipf workload* — deliberately the least favourable address
     // distribution for shard partitioning (the hottest of 8 shards
-    // carries over a quarter of all plain reads). The occupancy-balanced
-    // LPT schedule packs that imbalance across workers, but even LPT
+    // carries over a quarter of all plain reads). Static ownership
     // cannot split the single hottest shard, so ≥4 cores demand a true
     // no-pessimization bound here (≥ 1.0× — a silently rotted engine
-    // shows well under that, the single-core curve bottoms at ~0.65×);
-    // the balanced-vs-static gate below is where the scheduler's win on
-    // this stream is held. With 2-3 cores the pool is oversubscribed, so
+    // shows well under that, the single-core curve bottoms at ~0.65×).
+    // With 2-3 cores the pool is oversubscribed, so
     // only an order-of-halving is flagged. Vacuous on a single core,
     // where 4 workers time-slice one CPU.
     let par4 = scaling.events_per_sec[SCALING_WORKERS
@@ -708,37 +695,6 @@ fn main() {
                 fanout.parallel_replay_events_per_sec, fanout.replay_events_per_sec, fanout.events,
             );
             std::process::exit(1);
-        }
-    }
-    // The balanced-vs-static pair, both ends of the distribution
-    // spectrum (quick mode measures zipf + fanout): on the *skewed* zipf
-    // row LPT packing must beat static modular ownership — that gap is
-    // the whole point of the occupancy-aware scheduler — and on the
-    // *even* rows, where there is no imbalance to exploit, the balanced
-    // pre-pass must not cost more than a sliver (≥ 0.8× static covers
-    // timing noise; a real pessimization shows far below). Both gates
-    // need ≥ 4 real cores: on fewer, workers time-slice and the
-    // schedules are indistinguishable.
-    if quick && cores >= PARALLEL_WORKERS {
-        for row in &workload_rows {
-            let ratio = row.parallel_replay_events_per_sec / row.parallel_static_events_per_sec;
-            let (required, what) = if row.family == "zipf" {
-                (1.0, "must beat static on the skewed stream")
-            } else {
-                (0.8, "must not pessimize the even stream")
-            };
-            if ratio < required {
-                eprintln!(
-                    "PERF REGRESSION: balanced schedule on {} ({PARALLEL_WORKERS} workers on \
-                     {cores} cores) at {:.0} ev/s is {ratio:.2}x its static-schedule replay \
-                     ({:.0} ev/s over {} events); {what} (required ≥ {required}x)",
-                    row.spec,
-                    row.parallel_replay_events_per_sec,
-                    row.parallel_static_events_per_sec,
-                    row.events,
-                );
-                std::process::exit(1);
-            }
         }
     }
     if quick && cores < 2 {
@@ -843,24 +799,21 @@ fn measure<S: EventSink>(events: &[Event], min_secs: f64, mut mk: impl FnMut() -
     })
 }
 
-/// Events/sec of the sharded parallel engine end to end (seed pre-pass,
-/// plan, routing, worker pool, merge) at `workers` workers under the
-/// default balanced schedule.
-fn measure_parallel(events: &[Event], cfg: DetectorConfig, workers: usize, min_secs: f64) -> f64 {
-    measure_parallel_scheduled(events, cfg, workers, Schedule::Balanced, min_secs)
+/// One replay on the sharded parallel engine under default options.
+fn run_parallel(
+    cfg: DetectorConfig,
+    events: &[Event],
+    workers: usize,
+) -> spinrace_detector::MergedDetection {
+    parallel::try_run_sharded_opts(cfg, events, workers, EngineOptions::default())
+        .expect("parallel replay failed")
 }
 
-/// [`measure_parallel`] under an explicit scheduling mode.
-fn measure_parallel_scheduled(
-    events: &[Event],
-    cfg: DetectorConfig,
-    workers: usize,
-    schedule: Schedule,
-    min_secs: f64,
-) -> f64 {
+/// Events/sec of the sharded parallel engine end to end (seed pre-pass,
+/// routing, worker pool, merge) at `workers` workers.
+fn measure_parallel(events: &[Event], cfg: DetectorConfig, workers: usize, min_secs: f64) -> f64 {
     timed_events_per_sec(events.len(), min_secs, || {
-        let merged = parallel::run_sharded_scheduled(cfg, events, workers, schedule);
-        std::hint::black_box(&merged);
+        std::hint::black_box(run_parallel(cfg, events, workers));
     })
 }
 
@@ -1070,9 +1023,6 @@ fn write_json(
                 "events": r.events as u64,
                 "replay_events_per_sec": r.replay_events_per_sec,
                 "parallel_replay_events_per_sec": r.parallel_replay_events_per_sec,
-                "parallel_static_events_per_sec": r.parallel_static_events_per_sec,
-                "balanced_over_static": r.parallel_replay_events_per_sec
-                    / r.parallel_static_events_per_sec,
                 "shard_occupancy": r.shard_occupancy.to_vec(),
                 "shadow_bytes": r.shadow_bytes as u64,
                 "contexts": r.contexts as u64,
@@ -1094,7 +1044,7 @@ fn write_json(
         })
         .collect();
     let doc = serde_json::json!({
-        "schema": "spinrace-perf-v8",
+        "schema": "spinrace-perf-v9",
         "quick": quick,
         "cores": cores as u64,
         "floor_events_per_sec": FLOOR_EVENTS_PER_SEC,

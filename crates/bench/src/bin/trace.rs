@@ -13,9 +13,9 @@
 //!           [--seed N] [--tool <TOOL>] [--out FILE] [--format json|binary]
 //!           [--json FILE]
 //! trace replay FILE [--tool <TOOL>] [--long-msm] [--cap N]
-//!              [--workers N] [--schedule static|balanced] [--json FILE]
+//!              [--workers N] [--json FILE]
 //!              [--fault panic:W:N|delay:W:N:MS|drop:W:N] [--watchdog MS]
-//!              [--handoff-timeout MS] [--max-events N] [--max-shadow-bytes N]
+//!              [--max-events N] [--max-shadow-bytes N]
 //! trace convert IN OUT [--format json|binary] [--chunk-events N]
 //! trace inspect FILE [--events N]
 //! trace stats FILE
@@ -23,14 +23,14 @@
 //!             [--max-shadow-bytes N] [--watchdog MS] [--read-timeout MS]
 //!             [--write-timeout MS] [--stdin]
 //! trace client FILE --addr HOST:PORT [--tool <TOOL>] [--workers N]
-//!              [--schedule static|balanced] [--long-msm] [--cap N]
-//!              [--max-events N] [--max-shadow-bytes N] [--watchdog MS]
-//!              [--json FILE]
+//!              [--long-msm] [--cap N] [--max-events N]
+//!              [--max-shadow-bytes N] [--watchdog MS] [--json FILE]
 //! ```
 //!
 //! Exit codes: `0` success, `1` runtime failure (I/O, engine error,
-//! oracle violation), `2` usage or malformed input (bad flags, bad
-//! fault spec, undecodable trace file).
+//! oracle violation), `2` usage or malformed input (bad or unknown
+//! flags, bad fault spec, undecodable trace file). Each subcommand
+//! accepts exactly the flags its usage line lists.
 //!
 //! **Trace formats.** Every file-taking command auto-detects the on-disk
 //! encoding by its first bytes: the binary columnar format of
@@ -69,10 +69,9 @@
 //! recording run also prints its racy contexts; `replay` re-prepares the
 //! named program, checks the module fingerprint, and replays the parsed
 //! stream into a fresh detector — on `--workers N` threads through the
-//! parallel sharded engine, whose output is bit-identical to sequential
-//! replay (and to the live run) for every worker count and either
-//! `--schedule` (occupancy-balanced LPT shard packing by default;
-//! `static` forces modular ownership).
+//! parallel sharded engine (worker `i` owns shadow shard `s` iff
+//! `s % N == i`), whose output is bit-identical to sequential replay
+//! (and to the live run) for every worker count.
 //!
 //! `--json FILE` writes the detection outcome (contexts, promoted
 //! locations, described reports, detector metrics, run summary) in a
@@ -87,7 +86,7 @@
 //! file, which the CI `serve-smoke` job checks.
 
 use spinrace_core::{
-    AnalysisOutcome, Budget, DetectRequest, EngineOptions, FaultPlan, Schedule, Session, Tool,
+    AnalysisOutcome, Budget, DetectRequest, EngineOptions, FaultPlan, Session, Tool,
 };
 use spinrace_detector::MsmMode;
 use spinrace_detector::{shard_occupancy, NUM_SHARDS};
@@ -101,18 +100,66 @@ use std::io::BufReader;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
+/// A subcommand: its name, its entry point, and the space-separated
+/// flags it accepts.
+type Command = (&'static str, fn(&[String]) -> i32, &'static str);
+
+const COMMANDS: &[Command] = &[
+    (
+        "record",
+        record,
+        "--program --tool --seed --obscure --scale --out --format --json",
+    ),
+    (
+        "gen",
+        gen,
+        "--family --threads --events --addr-space --skew --races --seed --tool --out --format \
+         --json",
+    ),
+    (
+        "replay",
+        replay,
+        "--tool --long-msm --cap --workers --json --fault --watchdog --max-events \
+         --max-shadow-bytes",
+    ),
+    ("convert", convert, "--format --chunk-events"),
+    ("inspect", inspect, "--events"),
+    ("stats", stats, ""),
+    (
+        "serve",
+        serve_cmd,
+        "--addr --sessions --cores --max-events --max-shadow-bytes --watchdog --read-timeout \
+         --write-timeout --stdin",
+    ),
+    (
+        "client",
+        client_cmd,
+        "--addr --tool --workers --long-msm --cap --max-events --max-shadow-bytes --watchdog \
+         --json",
+    ),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("record") => record(&args[1..]),
-        Some("gen") => gen(&args[1..]),
-        Some("replay") => replay(&args[1..]),
-        Some("convert") => convert(&args[1..]),
-        Some("inspect") => inspect(&args[1..]),
-        Some("stats") => stats(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("client") => client_cmd(&args[1..]),
-        _ => {
+    let command = args
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|(n, ..)| n == name));
+    let code = match command {
+        Some(&(name, run, flags)) => {
+            // An unknown flag is a usage error, never silently ignored: a
+            // misspelt `--workers` must not quietly replay sequentially.
+            match args[1..]
+                .iter()
+                .find(|a| a.starts_with("--") && !flags.split_whitespace().any(|f| f == *a))
+            {
+                Some(bad) => {
+                    eprintln!("error: unknown flag {bad} for `trace {name}`");
+                    2
+                }
+                None => run(&args[1..]),
+            }
+        }
+        None => {
             eprintln!(
                 "usage: trace <record|gen|replay|convert|inspect|stats|serve|client> ...  \
                  (see --help in source)"
@@ -427,8 +474,8 @@ fn replay(args: &[String]) -> i32 {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!(
             "usage: trace replay FILE [--tool T] [--long-msm] [--cap N] [--workers N] \
-             [--schedule static|balanced] [--json FILE] [--fault panic:W:N|delay:W:N:MS|drop:W:N] \
-             [--watchdog MS] [--handoff-timeout MS] [--max-events N] [--max-shadow-bytes N]"
+             [--json FILE] [--fault panic:W:N|delay:W:N:MS|drop:W:N] [--watchdog MS] \
+             [--max-events N] [--max-shadow-bytes N]"
         );
         return 2;
     };
@@ -442,16 +489,6 @@ fn replay(args: &[String]) -> i32 {
     // `--workers 0` (the default) replays sequentially; any other count
     // goes through the parallel sharded engine — same results either way.
     let workers: usize = num_opt(args, "--workers", 0);
-    let schedule: Schedule = match opt(args, "--schedule") {
-        None => Schedule::default(),
-        Some(s) => match s.parse() {
-            Ok(sch) => sch,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        },
-    };
     let fault: Option<FaultPlan> = match opt(args, "--fault") {
         None => None,
         Some(s) => match s.parse() {
@@ -464,7 +501,6 @@ fn replay(args: &[String]) -> i32 {
     };
     // `0` disables each limit (and is each one's default).
     let watchdog_ms: u64 = num_opt(args, "--watchdog", 0);
-    let handoff_ms: u64 = num_opt(args, "--handoff-timeout", 10_000);
     let max_events: u64 = num_opt(args, "--max-events", 0);
     let max_shadow: u64 = num_opt(args, "--max-shadow-bytes", 0);
     if fault.is_some() && workers < 2 {
@@ -479,8 +515,6 @@ fn replay(args: &[String]) -> i32 {
         return 2;
     }
     let opts = EngineOptions {
-        schedule,
-        handoff_timeout: Duration::from_millis(handoff_ms),
         watchdog: (watchdog_ms > 0).then(|| Duration::from_millis(watchdog_ms)),
         budget: Budget {
             max_events: (max_events > 0).then_some(max_events),
@@ -530,7 +564,7 @@ fn replay(args: &[String]) -> i32 {
             };
             let secs = t0.elapsed().as_secs_f64();
             let mode = if workers > 0 {
-                format!("{workers} worker(s), {schedule}")
+                format!("{workers} worker(s)")
             } else {
                 "sequential".to_string()
             };
@@ -912,8 +946,7 @@ impl StatsAcc {
         }
         // Per-shard occupancy: how the parallel engine's shadow-shard
         // partition sees this stream. `max/mean` > 1 quantifies skew —
-        // the imbalance the balanced schedule packs around and static
-        // ownership cannot.
+        // the imbalance static ownership leaves on one worker.
         let occ_total: u64 = self.occ.iter().sum();
         let occ_max = self.occ.iter().copied().max().unwrap_or(0);
         println!("shard occupancy (plain accesses per shadow shard):");
@@ -1015,8 +1048,8 @@ fn client_cmd(args: &[String]) -> i32 {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!(
             "usage: trace client FILE --addr HOST:PORT [--tool T] [--workers N] \
-             [--schedule static|balanced] [--long-msm] [--cap N] [--max-events N] \
-             [--max-shadow-bytes N] [--watchdog MS] [--json FILE]"
+             [--long-msm] [--cap N] [--max-events N] [--max-shadow-bytes N] [--watchdog MS] \
+             [--json FILE]"
         );
         return 2;
     };
@@ -1075,12 +1108,6 @@ fn client_cmd(args: &[String]) -> i32 {
             serde_json::Value::Bool(has(args, "--long-msm")),
         ),
     ];
-    if let Some(s) = opt(args, "--schedule") {
-        entries.push((
-            serde_json::Value::Str("schedule".into()),
-            serde_json::Value::Str(s),
-        ));
-    }
     for (flag, field) in [
         ("--max-events", "max_events"),
         ("--max-shadow-bytes", "max_shadow_bytes"),

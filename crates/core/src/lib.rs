@@ -9,7 +9,7 @@
 //! fans out to many detections:
 //!
 //! ```
-//! use spinrace_core::{Session, Tool};
+//! use spinrace_core::{DetectRequest, Session, Tool};
 //! use spinrace_tir::ModuleBuilder;
 //!
 //! // A racy program: two threads increment without synchronization.
@@ -40,9 +40,10 @@
 //! // …then detect as often as needed on the recorded trace: the default
 //! // configuration, a capped variant, even another tool that shares the
 //! // same prepared module.
-//! let out = run.detect();
+//! let out = run.run(&DetectRequest::own()).into_single();
 //! assert!(out.has_race_on("g"));
-//! let capped = run.detect_with(run.prepared().default_config().with_cap(1));
+//! let capped_cfg = run.prepared().default_config().with_cap(1);
+//! let capped = run.run(&DetectRequest::config(capped_cfg)).into_single();
 //! assert_eq!(capped.contexts, 1);
 //!
 //! // The trace itself serializes; parsing it back replays identically.
@@ -60,7 +61,7 @@ pub mod session;
 
 pub use parallel::{
     default_workers, Budget, BudgetResource, EngineError, EngineOptions, FaultKind, FaultPlan,
-    PartialMetrics, Schedule,
+    PartialMetrics,
 };
 pub use request::{DetectMode, DetectOutcome, DetectRequest, DetectTarget};
 pub use session::{ExecutedRun, PreparedModule, Session, StreamProgress};

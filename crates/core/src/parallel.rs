@@ -1,68 +1,48 @@
 //! Parallel sharded trace replay — deterministic by construction.
 //!
-//! [`run_sharded`] replays one recorded event stream on a scoped thread
-//! pool: plain data accesses are partitioned along the detector's
-//! [`ShadowTable`](spinrace_detector::shadow::ShadowTable) shard seam,
-//! while every synchronization-relevant event is broadcast so each
-//! worker's thread vector clocks evolve exactly as a sequential
-//! detector's would. Which worker owns which shard is a precomputed
-//! [`SchedulePlan`]:
-//!
-//! * [`Schedule::Static`] — worker `i` of `W` owns shard `s` iff
-//!   `s % W == i`, for the whole stream. Oblivious to skew.
-//! * [`Schedule::Balanced`] (the default) — a pre-pass histograms
-//!   owner-routed events per shard and LPT bin-packing spreads the load;
-//!   when the distribution shifts mid-stream, the plan schedules whole
-//!   shards to *change hands* at chunk boundaries (planned stealing).
-//!   At a boundary the departing owner exports the shard's shadow pages
-//!   plus the contents of the lockset ids they reference, and the new
-//!   owner re-interns and implants them before touching any event past
-//!   the boundary — per-shard event order is untouched, so the merged
-//!   result stays byte-identical to [`Schedule::Static`] and to
-//!   sequential replay.
+//! [`try_run_many_sharded_opts`] replays one recorded event stream once
+//! per detector configuration on **one** scoped thread pool: plain data
+//! accesses are partitioned along the detector's
+//! [`ShadowTable`](spinrace_detector::shadow::ShadowTable) shard seam —
+//! worker `i` of `W` owns shard `s` iff `s % W == i`, for the whole
+//! stream — while every synchronization-relevant event is broadcast so
+//! each worker's thread vector clocks evolve exactly as a sequential
+//! detector's would. [`try_run_sharded_opts`] is its one-configuration
+//! case.
 //!
 //! The merged result — reports, racy contexts, promotion counts, and the
 //! full [`DetectorMetrics`](spinrace_detector::DetectorMetrics) — is
-//! **bit-identical** to a sequential replay for any worker count and
-//! either schedule, which is what lets harnesses and CLIs pick a worker
-//! count from the machine without perturbing a single table number (the
-//! CI `replay-determinism` job holds `--schedule balanced --workers
-//! 1/2/4/8` to byte-equal output).
+//! **bit-identical** to a sequential replay for any worker count, which
+//! is what lets harnesses and CLIs pick a worker count from the machine
+//! without perturbing a single table number (the CI `replay-determinism`
+//! job holds `--workers 1/2/4/8` to byte-equal output).
 //!
-//! At `workers <= 1` [`run_sharded`] takes the **sequential fast path**:
-//! a plain [`RaceDetector`] loop with no seed pre-pass, no pool, and no
-//! per-access ownership gate, so a 1-worker "parallel" detection costs
-//! the same as a plain replay. ([`run_sharded_with_plan`] keeps the full
-//! worker/merge machinery reachable at 1 worker for determinism tests.)
+//! At `workers <= 1` the engine takes the **sequential fast path**: a
+//! plain detector loop with no seed pre-pass, no pool, and no per-access
+//! ownership gate, so a 1-worker "parallel" detection costs the same as
+//! a plain replay.
 //!
 //! The determinism mechanics (promotion-seed pre-pass, tagged report
-//! attempts, the lockset op log, shard handoffs) live in
-//! [`spinrace_detector::sharded`]; this module owns the orchestration:
-//! seed computation, plan construction, event routing, the
-//! `std::thread::scope` pool, the boundary handoff protocol, and the
-//! fragment merge.
+//! attempts, the lockset op log) live in [`spinrace_detector::sharded`];
+//! this module owns the orchestration: seed computation, event routing,
+//! the `std::thread::scope` pool, and the fragment merge.
 //!
 //! # Failure modes
 //!
 //! The engine is **panic-safe and hang-free**: every worker runs under
 //! `catch_unwind`, the first failure flips a shared cancellation flag
-//! that every worker polls (in its event loop and inside every handoff
-//! wait, which is a `wait_timeout` loop — no worker ever blocks
-//! indefinitely on a dead peer's slot), and the coordinator joins all
-//! workers and returns the first [`EngineError`] instead of propagating
-//! the panic. The `try_run_*` entry points surface this as a `Result`;
-//! the original infallible names remain as thin wrappers that panic with
-//! the rendered error, preserving their historical behavior for callers
-//! that treat engine failure as a bug. [`EngineOptions`] additionally
-//! carries per-detection resource budgets ([`Budget`] — graceful
+//! that every worker polls in its event loop, and the coordinator joins
+//! all workers and returns the first [`EngineError`] instead of
+//! propagating the panic. [`EngineOptions`] additionally carries
+//! per-detection resource budgets ([`Budget`] — graceful
 //! [`EngineError::BudgetExhausted`] with partial metrics), an optional
 //! global watchdog, and a deterministic [`FaultPlan`] (panic / delay /
-//! dropped handoff at the Nth event of worker W; off by default and a
-//! single predictable compare per event when disabled) that CI uses to
-//! prove every fault yields a structured error within a bounded wait.
+//! silent drop at the Nth event of worker W; off by default and a single
+//! predictable compare per event when disabled) that CI uses to prove
+//! every fault yields a structured error within a bounded wait.
 //!
 //! ```
-//! use spinrace_core::{parallel, Session, Tool};
+//! use spinrace_core::{parallel, DetectRequest, Session, Tool};
 //! use spinrace_tir::ModuleBuilder;
 //!
 //! let mut mb = ModuleBuilder::new("racy");
@@ -87,9 +67,9 @@
 //!     .unwrap()
 //!     .execute()
 //!     .unwrap();
-//! let sequential = run.detect();
+//! let sequential = run.run(&DetectRequest::own()).into_single();
 //! for workers in [1, 2, 4, 8] {
-//!     let par = run.detect_parallel(workers);
+//!     let par = run.run(&DetectRequest::own().parallel(workers)).into_single();
 //!     assert_eq!(par.contexts, sequential.contexts);
 //!     assert_eq!(par.metrics, sequential.metrics);
 //! }
@@ -98,8 +78,8 @@
 
 use spinrace_detector::{
     compute_promotion_seeds, event_route, shard_of, try_merge_fragments, AnyDetector,
-    DetectorConfig, EventRoute, MergedDetection, PromotionSeeds, RaceDetector, SchedulePlan,
-    ShardHandoff, ShardSpec, ShardTransfer, WorkerFragment, NUM_SHARDS,
+    DetectorConfig, EventRoute, MergedDetection, PromotionSeeds, RaceDetector, ShardSpec,
+    WorkerFragment, NUM_SHARDS,
 };
 use spinrace_vm::trace::TraceError;
 use spinrace_vm::{Event, EventSink};
@@ -107,20 +87,13 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-pub use spinrace_detector::Schedule;
 
 /// How often (in events) workers poll for cancellation, the watchdog,
 /// and the shadow budget: every 4096 events, so the hot loop pays one
 /// masked compare per event in the common case.
 pub(crate) const PERIODIC_MASK: usize = 0xFFF;
-
-/// Granularity of a handoff wait: a stalled receiver re-checks the
-/// cancellation flag at least this often, so a peer's failure unblocks
-/// it within one tick even if the wake-up notification is lost.
-const HANDOFF_TICK: Duration = Duration::from_millis(25);
 
 /// Granularity of an injected delay: the stalled worker keeps polling
 /// for cancellation, so a peer's watchdog can cut the delay short.
@@ -138,21 +111,9 @@ pub enum EngineError {
         /// The panic payload, downcast to a string where possible.
         payload: String,
     },
-    /// A shard-handoff receiver waited past the handoff watchdog — the
-    /// exporting peer is dead or stalled.
-    HandoffTimeout {
-        /// The waiting (importing) worker.
-        worker: usize,
-        /// The shard that never arrived.
-        shard: usize,
-        /// The plan boundary the handoff was scheduled at.
-        boundary: usize,
-        /// How long the receiver waited before giving up.
-        waited_ms: u64,
-    },
     /// A worker produced neither a fragment nor an error — it went
-    /// silent (the defensive path fault injection's dropped-handoff
-    /// scenario exercises).
+    /// silent (the defensive path fault injection's
+    /// [`FaultKind::Drop`] scenario exercises).
     WorkerLost {
         /// Index of the silent worker.
         worker: usize,
@@ -194,16 +155,6 @@ impl fmt::Display for EngineError {
             EngineError::WorkerPanic { worker, payload } => {
                 write!(f, "replay worker {worker} panicked: {payload}")
             }
-            EngineError::HandoffTimeout {
-                worker,
-                shard,
-                boundary,
-                waited_ms,
-            } => write!(
-                f,
-                "replay worker {worker} timed out after {waited_ms} ms waiting for the shard \
-                 {shard} handoff at boundary {boundary} (exporting peer dead or stalled)"
-            ),
             EngineError::WorkerLost { worker } => write!(
                 f,
                 "replay worker {worker} exited without producing a fragment or reporting an error"
@@ -327,11 +278,10 @@ pub enum FaultKind {
     /// Stall for the given number of milliseconds (cancellation-aware:
     /// the sleep is cut short once a peer's watchdog fails the run).
     Delay(u64),
-    /// Go silent: stop processing and never publish another handoff —
-    /// a model of a worker that died without unwinding. Surfaces as
-    /// [`EngineError::HandoffTimeout`] when a peer was waiting on it,
-    /// or [`EngineError::WorkerLost`] otherwise.
-    DropHandoff,
+    /// Go silent: stop processing without producing a fragment or
+    /// recording an error — a model of a worker that died without
+    /// unwinding. Surfaces as [`EngineError::WorkerLost`].
+    Drop,
 }
 
 /// A deterministic injected fault: at the `at_event`-th event of worker
@@ -356,7 +306,7 @@ impl fmt::Display for FaultPlan {
         match self.kind {
             FaultKind::Panic => write!(f, "panic:{}:{}", self.worker, self.at_event),
             FaultKind::Delay(ms) => write!(f, "delay:{}:{}:{ms}", self.worker, self.at_event),
-            FaultKind::DropHandoff => write!(f, "drop:{}:{}", self.worker, self.at_event),
+            FaultKind::Drop => write!(f, "drop:{}:{}", self.worker, self.at_event),
         }
     }
 }
@@ -387,7 +337,7 @@ impl FromStr for FaultPlan {
         let (kind, worker, at_event) = match parts.as_slice() {
             ["panic", w, n] => (FaultKind::Panic, num(w)?, num(n)?),
             ["delay", w, n, ms] => (FaultKind::Delay(num(ms)?), num(w)?, num(n)?),
-            ["drop", w, n] => (FaultKind::DropHandoff, num(w)?, num(n)?),
+            ["drop", w, n] => (FaultKind::Drop, num(w)?, num(n)?),
             _ => return Err(bad()),
         };
         Ok(FaultPlan {
@@ -399,16 +349,10 @@ impl FromStr for FaultPlan {
 }
 
 /// Everything configurable about one engine run beyond the worker
-/// count. [`EngineOptions::default`] reproduces the historical engine
-/// behavior exactly (balanced schedule, 10 s handoff watchdog, no
-/// global watchdog, no budgets, no faults).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// count. [`EngineOptions::default`] is the plain engine: no watchdog,
+/// no budgets, no faults.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Shard-to-worker scheduling mode.
-    pub schedule: Schedule,
-    /// How long a receiver waits on one shard handoff before failing
-    /// the run with [`EngineError::HandoffTimeout`].
-    pub handoff_timeout: Duration,
     /// Optional wall-clock ceiling for the whole detection
     /// ([`EngineError::Watchdog`] when exceeded). `None` = unlimited.
     pub watchdog: Option<Duration>,
@@ -419,39 +363,7 @@ pub struct EngineOptions {
     pub fault: Option<FaultPlan>,
 }
 
-impl Default for EngineOptions {
-    fn default() -> EngineOptions {
-        EngineOptions {
-            schedule: Schedule::default(),
-            handoff_timeout: Duration::from_secs(10),
-            watchdog: None,
-            budget: Budget::default(),
-            fault: None,
-        }
-    }
-}
-
 impl EngineOptions {
-    /// Defaults with an explicit schedule.
-    pub fn scheduled(schedule: Schedule) -> EngineOptions {
-        EngineOptions {
-            schedule,
-            ..EngineOptions::default()
-        }
-    }
-
-    /// Set the shard-to-worker scheduling mode.
-    pub fn with_schedule(mut self, schedule: Schedule) -> EngineOptions {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Set the per-handoff wait ceiling.
-    pub fn with_handoff_timeout(mut self, limit: Duration) -> EngineOptions {
-        self.handoff_timeout = limit;
-        self
-    }
-
     /// Bound the whole detection by a wall-clock watchdog.
     pub fn with_watchdog(mut self, limit: Duration) -> EngineOptions {
         self.watchdog = Some(limit);
@@ -487,138 +399,36 @@ pub(crate) fn expect_engine<T>(result: Result<T, EngineError>) -> T {
     result.unwrap_or_else(|e| panic!("parallel replay failed: {e}"))
 }
 
-/// Replay `events` under `cfg` on `workers` scoped threads with the
-/// default [`Schedule::Balanced`] plan and merge the fragments into the
-/// sequential detection result. `workers` is clamped to
-/// `1..=`[`NUM_SHARDS`]; the output is identical for every worker count.
-/// At 1 worker this routes through the plain sequential detector loop —
-/// no pool, no ownership gate (use [`run_sharded_with_plan`] to force
-/// the worker machinery at width 1). Panics when the engine fails; use
-/// [`try_run_sharded`] to handle failure as a value.
-pub fn run_sharded(cfg: DetectorConfig, events: &[Event], workers: usize) -> MergedDetection {
-    expect_engine(try_run_sharded(cfg, events, workers))
-}
-
-/// [`run_sharded`] with an explicit scheduling mode.
-pub fn run_sharded_scheduled(
-    cfg: DetectorConfig,
-    events: &[Event],
-    workers: usize,
-    schedule: Schedule,
-) -> MergedDetection {
-    expect_engine(try_run_sharded_scheduled(cfg, events, workers, schedule))
-}
-
-/// Replay under an explicit precomputed [`SchedulePlan`], always through
-/// the full worker/merge machinery — even at `plan.workers() == 1`,
-/// which is the determinism baseline the proptests force.
-pub fn run_sharded_with_plan(
-    cfg: DetectorConfig,
-    events: &[Event],
-    plan: Arc<SchedulePlan>,
-) -> MergedDetection {
-    expect_engine(try_run_sharded_with_plan(cfg, events, plan))
-}
-
-/// Replay `events` once per configuration on **one** scoped worker pool:
-/// each worker thread processes every configuration's job in order, so a
-/// tool fan-out over the same trace pays thread spawn/join once instead
-/// of once per tool. Results are merged per configuration, in input
-/// order, each byte-identical to its sequential replay. Panics when the
-/// engine fails; use [`try_run_many_sharded`] to handle failure.
-pub fn run_many_sharded(
-    cfgs: &[DetectorConfig],
-    events: &[Event],
-    workers: usize,
-    schedule: Schedule,
-) -> Vec<MergedDetection> {
-    expect_engine(try_run_many_sharded(cfgs, events, workers, schedule))
-}
-
-/// Fallible [`run_sharded`].
-pub fn try_run_sharded(
-    cfg: DetectorConfig,
-    events: &[Event],
-    workers: usize,
-) -> Result<MergedDetection, EngineError> {
-    try_run_sharded_opts(cfg, events, workers, EngineOptions::default())
-}
-
-/// Fallible [`run_sharded_scheduled`].
-pub fn try_run_sharded_scheduled(
-    cfg: DetectorConfig,
-    events: &[Event],
-    workers: usize,
-    schedule: Schedule,
-) -> Result<MergedDetection, EngineError> {
-    try_run_sharded_opts(cfg, events, workers, EngineOptions::scheduled(schedule))
-}
-
-/// The full-control engine entry point: schedule, handoff watchdog,
-/// global watchdog, budgets, and fault injection via [`EngineOptions`].
+/// Replay `events` under `cfg` on `workers` scoped threads and merge the
+/// fragments into the sequential detection result — the
+/// one-configuration case of [`try_run_many_sharded_opts`], with the
+/// same clamping, fast path, refusal and budget rules.
 pub fn try_run_sharded_opts(
     cfg: DetectorConfig,
     events: &[Event],
     workers: usize,
     opts: EngineOptions,
 ) -> Result<MergedDetection, EngineError> {
-    let workers = workers.clamp(1, NUM_SHARDS);
-    if workers <= 1 || exceeds_event_budget(events, &opts) {
-        // Either the sequential fast path proper, or graceful event-
-        // budget termination: the affordable prefix is replayed
-        // sequentially for faithful partial metrics, and the result is
-        // the budget error.
-        return try_run_sequential(cfg, events, opts);
-    }
-    if cfg.is_predictive() {
-        return Err(unsupported_predictive());
-    }
-    let seeds = Arc::new(compute_promotion_seeds(cfg, events));
-    let plan = Arc::new(make_plan(cfg, &seeds, events, workers, opts.schedule));
-    try_run_planned(cfg, events, &seeds, &plan, opts)
+    let mut merged = try_run_many_sharded_opts(&[cfg], events, workers, opts)?;
+    Ok(merged
+        .pop()
+        .expect("one configuration yields one detection"))
 }
 
-/// Fallible [`run_sharded_with_plan`].
-pub fn try_run_sharded_with_plan(
-    cfg: DetectorConfig,
-    events: &[Event],
-    plan: Arc<SchedulePlan>,
-) -> Result<MergedDetection, EngineError> {
-    try_run_sharded_with_plan_opts(cfg, events, plan, EngineOptions::default())
-}
-
-/// [`try_run_sharded_with_plan`] with explicit [`EngineOptions`] — the
-/// entry point the fault-injection matrix drives (a precomputed plan
-/// pins the handoff topology the faults are aimed at).
-pub fn try_run_sharded_with_plan_opts(
-    cfg: DetectorConfig,
-    events: &[Event],
-    plan: Arc<SchedulePlan>,
-    opts: EngineOptions,
-) -> Result<MergedDetection, EngineError> {
-    if exceeds_event_budget(events, &opts) {
-        return try_run_sequential(cfg, events, opts);
-    }
-    if cfg.is_predictive() {
-        return Err(unsupported_predictive());
-    }
-    let seeds = Arc::new(compute_promotion_seeds(cfg, events));
-    try_run_planned(cfg, events, &seeds, &plan, opts)
-}
-
-/// Fallible [`run_many_sharded`].
-pub fn try_run_many_sharded(
-    cfgs: &[DetectorConfig],
-    events: &[Event],
-    workers: usize,
-    schedule: Schedule,
-) -> Result<Vec<MergedDetection>, EngineError> {
-    try_run_many_sharded_opts(cfgs, events, workers, EngineOptions::scheduled(schedule))
-}
-
-/// [`try_run_many_sharded`] with explicit [`EngineOptions`]. The whole
-/// fan-out shares one pool and one cancellation domain: the first
-/// failure in any configuration's pass fails the batch.
+/// Replay `events` once per configuration on **one** scoped worker pool:
+/// each worker thread processes every configuration's job in order, so a
+/// tool fan-out over the same trace pays thread spawn/join once instead
+/// of once per tool. Results are merged per configuration, in input
+/// order, each byte-identical to its sequential replay. The whole
+/// fan-out shares one cancellation domain: the first failure in any
+/// configuration's pass fails the batch.
+///
+/// `workers` is clamped to `1..=`[`NUM_SHARDS`]. At 1 worker every
+/// configuration runs on the sequential fast path. At 2 or more, a
+/// predictive configuration is refused with [`EngineError::Unsupported`]
+/// before anything else is checked; then an exceeded event budget
+/// replays the affordable prefix of the first configuration
+/// sequentially and returns its [`EngineError::BudgetExhausted`].
 pub fn try_run_many_sharded_opts(
     cfgs: &[DetectorConfig],
     events: &[Event],
@@ -642,12 +452,23 @@ pub fn try_run_many_sharded_opts(
         return Err(try_run_sequential(cfg, events, opts)
             .expect_err("prefix replay under an exceeded event budget must error"));
     }
+    run_pool(cfgs, events, workers, opts)
+}
+
+/// The worker pool proper, at any width — including 1, which the public
+/// entry points route to the sequential fast path instead (the tests
+/// force it here to pin the fast path to the full machinery).
+fn run_pool(
+    cfgs: &[DetectorConfig],
+    events: &[Event],
+    workers: usize,
+    opts: EngineOptions,
+) -> Result<Vec<MergedDetection>, EngineError> {
     let jobs: Vec<Job> = cfgs
         .iter()
-        .map(|&cfg| {
-            let seeds = Arc::new(compute_promotion_seeds(cfg, events));
-            let plan = Arc::new(make_plan(cfg, &seeds, events, workers, opts.schedule));
-            Job::new(cfg, seeds, plan)
+        .map(|&cfg| Job {
+            cfg,
+            seeds: Arc::new(compute_promotion_seeds(cfg, events)),
         })
         .collect();
     let shared = EngineShared::new(&opts);
@@ -655,11 +476,12 @@ pub fn try_run_many_sharded_opts(
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|index| {
+                let spec = ShardSpec::new(workers, index);
                 let jobs = &jobs;
                 let shared = &shared;
                 s.spawn(move || {
                     jobs.iter()
-                        .map(|job| worker_pass_guarded(events, job, index, shared, opts))
+                        .map(|job| worker_pass_guarded(events, job, spec, shared, opts))
                         .collect::<Vec<Option<WorkerFragment>>>()
                 })
             })
@@ -668,6 +490,9 @@ pub fn try_run_many_sharded_opts(
             match h.join() {
                 Ok(v) => per_worker.push(v),
                 Err(payload) => {
+                    // catch_unwind should have absorbed this; a panic
+                    // escaping the guard (e.g. from a Drop) still must
+                    // not abort the whole process.
                     shared.fail(EngineError::WorkerPanic {
                         worker: index,
                         payload: panic_message(payload.as_ref()),
@@ -716,7 +541,7 @@ fn exceeds_event_budget(events: &[Event], opts: &EngineOptions) -> bool {
 
 /// The single-worker fast path: a plain sequential detector fed through
 /// the ordinary [`EventSink`] loop, sealed into the merged-detection
-/// shape. No seed pre-pass, no plan, no ownership gate per access —
+/// shape. No seed pre-pass, no pool, no ownership gate per access —
 /// just the periodic watchdog/budget poll, which is dormant (two
 /// predictable compares every 4096 events) under default options.
 fn try_run_sequential(
@@ -791,68 +616,24 @@ fn try_run_sequential(
     Ok(det.into_detection())
 }
 
-fn make_plan(
-    cfg: DetectorConfig,
-    seeds: &PromotionSeeds,
-    events: &[Event],
-    workers: usize,
-    schedule: Schedule,
-) -> SchedulePlan {
-    match schedule {
-        Schedule::Static => SchedulePlan::static_plan(workers),
-        Schedule::Balanced => SchedulePlan::balanced(cfg, seeds, events, workers),
-    }
-}
-
-/// One configuration's replay job on the shared pool: the config, its
-/// promotion seeds and plan, and one rendezvous slot per planned shard
-/// transfer for the boundary handoff protocol.
+/// One configuration's replay job on the shared pool: the config and its
+/// promotion seeds.
 struct Job {
     cfg: DetectorConfig,
     seeds: Arc<PromotionSeeds>,
-    plan: Arc<SchedulePlan>,
-    transfers: Vec<ShardTransfer>,
-    slots: Vec<(Mutex<Option<ShardHandoff>>, Condvar)>,
 }
 
-impl Job {
-    fn new(cfg: DetectorConfig, seeds: Arc<PromotionSeeds>, plan: Arc<SchedulePlan>) -> Job {
-        let transfers = plan.transfers();
-        let slots = transfers
-            .iter()
-            .map(|_| (Mutex::new(None), Condvar::new()))
-            .collect();
-        Job {
-            cfg,
-            seeds,
-            plan,
-            transfers,
-            slots,
-        }
-    }
-
-    /// Kick every handoff condvar so peers blocked in [`wait_for_handoff`]
-    /// re-check the cancellation flag immediately instead of on the next
-    /// tick. Purely a latency fast path — correctness never depends on a
-    /// notification arriving, because every wait is tick-bounded.
-    fn wake_all(&self) {
-        for slot in &self.slots {
-            slot.1.notify_all();
-        }
-    }
-}
-
-/// Lock a mutex, ignoring poison: handoff slots hold plain data
-/// (`Option<ShardHandoff>`), and a panicking peer is reported through
-/// the engine's failure channel — a poisoned flag on the slot carries
-/// no extra information and must not cascade into more panics.
+/// Lock a mutex, ignoring poison: the failure slot holds plain data, and
+/// a panicking peer is reported through the engine's failure channel — a
+/// poisoned flag carries no extra information and must not cascade into
+/// more panics.
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Cross-worker failure channel: the first error wins, flips the
 /// cancellation flag, and every worker drains out at its next periodic
-/// check or handoff-wait wakeup. Also owns the global watchdog deadline
+/// check. Also owns the global watchdog deadline
 /// so any polling site can trip it.
 struct EngineShared {
     cancelled: AtomicBool,
@@ -915,131 +696,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn try_run_planned(
-    cfg: DetectorConfig,
-    events: &[Event],
-    seeds: &Arc<PromotionSeeds>,
-    plan: &Arc<SchedulePlan>,
-    opts: EngineOptions,
-) -> Result<MergedDetection, EngineError> {
-    let job = Job::new(cfg, Arc::clone(seeds), Arc::clone(plan));
-    let workers = plan.workers();
-    let shared = EngineShared::new(&opts);
-    let mut results: Vec<Option<WorkerFragment>> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|index| {
-                let job = &job;
-                let shared = &shared;
-                s.spawn(move || worker_pass_guarded(events, job, index, shared, opts))
-            })
-            .collect();
-        for (index, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(fragment) => results.push(fragment),
-                Err(payload) => {
-                    // catch_unwind should have absorbed this; a panic
-                    // escaping the guard (e.g. from a Drop) still must
-                    // not abort the whole process.
-                    shared.fail(EngineError::WorkerPanic {
-                        worker: index,
-                        payload: panic_message(payload.as_ref()),
-                    });
-                    results.push(None);
-                }
-            }
-        }
-    });
-    finish_engine(cfg, &shared, results)
-}
-
-/// Coordinator epilogue: surface the first recorded failure, detect
-/// silently-lost workers, or merge the complete fragment set.
-fn finish_engine(
-    cfg: DetectorConfig,
-    shared: &EngineShared,
-    results: Vec<Option<WorkerFragment>>,
-) -> Result<MergedDetection, EngineError> {
-    if let Some(err) = shared.take() {
-        return Err(err);
-    }
-    let mut fragments = Vec::with_capacity(results.len());
-    for (worker, r) in results.into_iter().enumerate() {
-        match r {
-            Some(f) => fragments.push(f),
-            None => return Err(EngineError::WorkerLost { worker }),
-        }
-    }
-    try_merge_fragments(cfg.context_cap, fragments).ok_or(EngineError::WorkerLost { worker: 0 })
-}
-
 /// [`worker_pass`] under a panic guard: a panic becomes a recorded
-/// [`EngineError::WorkerPanic`] plus cancellation, and any early exit
-/// (panic, fault, cancellation, budget) wakes all blocked peers so they
-/// drain promptly instead of on the next wait tick.
+/// [`EngineError::WorkerPanic`] plus cancellation.
 fn worker_pass_guarded(
     events: &[Event],
     job: &Job,
-    index: usize,
+    spec: ShardSpec,
     shared: &EngineShared,
     opts: EngineOptions,
 ) -> Option<WorkerFragment> {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        worker_pass(events, job, index, shared, opts)
+        worker_pass(events, job, spec, shared, opts)
     }));
-    let fragment = match result {
-        Ok(f) => f,
-        Err(payload) => {
-            shared.fail(EngineError::WorkerPanic {
-                worker: index,
-                payload: panic_message(payload.as_ref()),
-            });
-            None
-        }
-    };
-    if fragment.is_none() {
-        job.wake_all();
-    }
-    fragment
-}
-
-/// Wait for the handoff published into `slot`, bounded by the per-handoff
-/// timeout and the engine's cancellation flag. Returns `None` (after
-/// recording [`EngineError::HandoffTimeout`] if it was a timeout) when
-/// the wait must be abandoned.
-fn wait_for_handoff(
-    slot: &(Mutex<Option<ShardHandoff>>, Condvar),
-    t: &ShardTransfer,
-    index: usize,
-    shared: &EngineShared,
-    opts: EngineOptions,
-) -> Option<ShardHandoff> {
-    let start = Instant::now();
-    let deadline = start + opts.handoff_timeout;
-    let mut guard = lock_unpoisoned(&slot.0);
-    loop {
-        if let Some(h) = guard.take() {
-            return Some(h);
-        }
-        if shared.should_stop() {
-            return None;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            shared.fail(EngineError::HandoffTimeout {
-                worker: index,
-                shard: t.shard,
-                boundary: t.boundary,
-                waited_ms: start.elapsed().as_millis() as u64,
-            });
-            return None;
-        }
-        let wait = HANDOFF_TICK.min(deadline - now);
-        guard = match slot.1.wait_timeout(guard, wait) {
-            Ok((g, _)) => g,
-            Err(p) => p.into_inner().0,
-        };
-    }
+    result.unwrap_or_else(|payload| {
+        shared.fail(EngineError::WorkerPanic {
+            worker: spec.index(),
+            payload: panic_message(payload.as_ref()),
+        });
+        None
+    })
 }
 
 /// Sleep `ms` milliseconds in cancellation-aware ticks. Returns `false`
@@ -1058,40 +733,26 @@ fn injected_delay(ms: u64, shared: &EngineShared) -> bool {
     }
 }
 
-/// One worker's scan of the whole event slice: route inline, process
-/// owned + broadcast events, and at each plan boundary run the handoff
-/// protocol — publish **all** departing shards first, then block on
-/// incoming ones, then switch the ownership gate to the next phase.
-/// Publishing before waiting makes the protocol deadlock-free by
-/// induction over boundaries: every worker reaches every boundary (all
-/// workers scan the full slice), and a worker that waits has already
-/// published everything its peers at this boundary could need.
+/// One worker's scan of the whole event slice: route inline and process
+/// owned + broadcast events.
 ///
 /// Returns `None` when the worker drains out early — cancellation,
-/// handoff timeout, shadow budget, or an injected fault. All failure
-/// modes other than [`FaultKind::DropHandoff`] (deliberately a *silent*
-/// death) record their reason in `shared` before returning.
+/// shadow budget, or an injected fault. All failure modes other than
+/// [`FaultKind::Drop`] (deliberately a *silent* death) record their
+/// reason in `shared` before returning.
 fn worker_pass(
     events: &[Event],
     job: &Job,
-    index: usize,
+    spec: ShardSpec,
     shared: &EngineShared,
     opts: EngineOptions,
 ) -> Option<WorkerFragment> {
-    let Job {
-        cfg,
-        seeds,
-        plan,
-        transfers,
-        slots,
-    } = job;
-    let spec = ShardSpec::planned(Arc::clone(plan), index);
+    let Job { cfg, seeds } = job;
+    let index = spec.index();
     let mut det = RaceDetector::new_worker(*cfg, spec, Arc::clone(seeds));
-    // Local copy of the current phase's assignment keeps the per-event
-    // ownership gate a plain array index.
-    let mut cur = *plan.assignment(0);
-    let boundaries = plan.boundaries();
-    let mut next_phase = 1usize;
+    // A flat ownership table keeps the per-event gate a plain array
+    // index.
+    let owned: [bool; NUM_SHARDS] = std::array::from_fn(|s| spec.owns_shard(s));
     let (fault_at, fault_kind) = match opts.fault {
         Some(f) if f.worker == index => (f.at_event, Some(f.kind)),
         _ => (u64::MAX, None),
@@ -1119,9 +780,6 @@ fn worker_pass(
                 }
             }
         }
-        // The fault site is checked *before* the boundary protocol, so
-        // `at_event == boundary` injects before the shard export and
-        // `at_event == boundary + 1` injects just after it.
         if i as u64 == fault_at {
             match fault_kind {
                 Some(FaultKind::Panic) => {
@@ -1129,36 +787,16 @@ fn worker_pass(
                 }
                 Some(FaultKind::Delay(ms)) if !injected_delay(ms, shared) => return None,
                 Some(FaultKind::Delay(_)) => {}
-                // Silent worker death: no export, no error recorded.
-                // A waiting peer reports HandoffTimeout; otherwise the
+                // Silent worker death: no error recorded; the
                 // coordinator reports WorkerLost for the missing
                 // fragment.
-                Some(FaultKind::DropHandoff) => return None,
+                Some(FaultKind::Drop) => return None,
                 None => {}
             }
         }
-        while next_phase <= boundaries.len() && i as u64 >= boundaries[next_phase - 1] {
-            let b = next_phase - 1;
-            for (t, slot) in transfers.iter().zip(slots) {
-                if t.boundary == b && t.from == index {
-                    let handoff = det.export_shard(t.shard);
-                    *lock_unpoisoned(&slot.0) = Some(handoff);
-                    slot.1.notify_all();
-                }
-            }
-            for (t, slot) in transfers.iter().zip(slots) {
-                if t.boundary == b && t.to == index {
-                    let handoff = wait_for_handoff(slot, t, index, shared, opts)?;
-                    det.import_shard(handoff);
-                }
-            }
-            det.enter_phase(next_phase);
-            cur = *plan.assignment(next_phase);
-            next_phase += 1;
-        }
         let mine = match event_route(*cfg, seeds, ev) {
             EventRoute::Broadcast => true,
-            EventRoute::Owner(addr) => cur[shard_of(addr)] as usize == index,
+            EventRoute::Owner(addr) => owned[shard_of(addr)],
         };
         if mine {
             det.on_event_at(i as u64, ev);
@@ -1238,6 +876,11 @@ mod tests {
         mb.finish().unwrap()
     }
 
+    /// The default-options engine entry point, unwrapped.
+    fn replay_sharded(cfg: DetectorConfig, events: &[Event], workers: usize) -> MergedDetection {
+        try_run_sharded_opts(cfg, events, workers, EngineOptions::default()).unwrap()
+    }
+
     fn assert_matches_sequential(merged: &MergedDetection, seq: &RaceDetector, what: &str) {
         assert_eq!(
             merged.reports.reports(),
@@ -1265,24 +908,18 @@ mod tests {
         ] {
             let mut seq = RaceDetector::new(cfg);
             trace.replay(&mut seq);
-            for schedule in [Schedule::Static, Schedule::Balanced] {
-                for workers in [1, 2, 3, 4, 8] {
-                    let merged = run_sharded_scheduled(cfg, &trace.events, workers, schedule);
-                    assert_matches_sequential(
-                        &merged,
-                        &seq,
-                        &format!("{workers} workers, {schedule}"),
-                    );
-                }
+            for workers in [1, 2, 3, 4, 8] {
+                let merged = replay_sharded(cfg, &trace.events, workers);
+                assert_matches_sequential(&merged, &seq, &format!("{workers} workers"));
             }
         }
     }
 
     #[test]
     fn one_worker_forced_through_the_engine_equals_the_fast_path() {
-        // run_sharded at 1 worker takes the sequential fast path; a
-        // 1-worker *plan* forces the full worker/merge machinery. Both
-        // must agree with a plain sequential detector.
+        // The entry points take the sequential fast path at 1 worker;
+        // `run_pool` forces the full worker/merge machinery at that
+        // width. Both must agree with a plain sequential detector.
         let m = mixed_module();
         let trace = record_run(&m, VmConfig::round_robin(), "test").unwrap();
         for cfg in [
@@ -1291,80 +928,16 @@ mod tests {
         ] {
             let mut seq = RaceDetector::new(cfg);
             trace.replay(&mut seq);
-            let fast = run_sharded(cfg, &trace.events, 1);
+            let fast = replay_sharded(cfg, &trace.events, 1);
             assert_matches_sequential(&fast, &seq, "fast path");
-            let forced =
-                run_sharded_with_plan(cfg, &trace.events, Arc::new(SchedulePlan::static_plan(1)));
+            let forced = run_pool(&[cfg], &trace.events, 1, EngineOptions::default())
+                .unwrap()
+                .pop()
+                .unwrap();
             assert_matches_sequential(&forced, &seq, "forced 1-worker engine");
             assert_eq!(fast.reports.reports(), forced.reports.reports());
             assert_eq!(fast.metrics, forced.metrics);
         }
-    }
-
-    /// A raw stream whose hot shard moves mid-stream: phase A hammers
-    /// shard 0 (with a lock held, so shard cells carry lockset ids),
-    /// phase B hammers shards 2 and 3. A small-chunk balanced plan must
-    /// schedule at least one shard handoff, and the handed-off replay
-    /// must still be byte-identical to sequential.
-    #[test]
-    fn planned_shard_handoffs_preserve_sequential_results() {
-        use spinrace_vm::Event;
-        let pc = |n| spinrace_tir::Pc::new(spinrace_tir::FuncId(0), spinrace_tir::BlockId(0), n);
-        let write = |tid: u32, addr: u64, at: u32| Event::Write {
-            tid,
-            addr,
-            value: 1,
-            pc: pc(at),
-            stack: 0,
-            atomic: None,
-        };
-        let mut events = vec![
-            Event::Spawn {
-                parent: 0,
-                child: 1,
-                pc: pc(0),
-            },
-            Event::MutexLock {
-                tid: 1,
-                mutex: 0x9000,
-                pc: pc(1),
-            },
-        ];
-        // A few locked writes to shard 2 first, so the shard that later
-        // changes hands carries populated cells whose lockset ids must be
-        // re-interned by the importer.
-        for i in 0..8u64 {
-            events.push(write(1, (2 << 6) | i, 5));
-        }
-        // Phase A: 256 writes to shard 0 (addresses 0x00..0x3F plus page
-        // strides keep shard_of == 0), lock held.
-        for i in 0..256u64 {
-            events.push(write(1, (i % 64) | ((i / 64) << 9), 10));
-        }
-        events.push(Event::MutexUnlock {
-            tid: 1,
-            mutex: 0x9000,
-            pc: pc(2),
-        });
-        // Phase B: the traffic moves to shards 2 and 3.
-        for i in 0..128u64 {
-            let shard = 2 + (i % 2);
-            events.push(write(1, (shard << 6) | (i % 64), 20));
-        }
-        let cfg = DetectorConfig::helgrind_lib(MsmMode::Short);
-        let seeds = compute_promotion_seeds(cfg, &events);
-        let plan = SchedulePlan::balanced_chunked(cfg, &seeds, &events, 2, 64);
-        assert!(
-            plan.handoffs() > 0,
-            "the shifted stream must schedule a steal, got {:?}",
-            plan.transfers()
-        );
-        let mut seq = RaceDetector::new(cfg);
-        for ev in &events {
-            seq.on_event(ev);
-        }
-        let merged = run_sharded_with_plan(cfg, &events, Arc::new(plan));
-        assert_matches_sequential(&merged, &seq, "handed-off replay");
     }
 
     #[test]
@@ -1377,7 +950,9 @@ mod tests {
             DetectorConfig::drd(),
         ];
         for workers in [1, 2, 4] {
-            let many = run_many_sharded(&cfgs, &trace.events, workers, Schedule::Balanced);
+            let many =
+                try_run_many_sharded_opts(&cfgs, &trace.events, workers, EngineOptions::default())
+                    .unwrap();
             assert_eq!(many.len(), cfgs.len());
             for (cfg, merged) in cfgs.iter().zip(&many) {
                 let mut seq = RaceDetector::new(*cfg);
@@ -1395,7 +970,7 @@ mod tests {
         let mut seq = RaceDetector::new(cfg);
         trace.replay(&mut seq);
         for workers in [1, 2, 4] {
-            let merged = run_sharded(cfg, &trace.events, workers);
+            let merged = replay_sharded(cfg, &trace.events, workers);
             assert_eq!(merged.reports.reports(), seq.reports().reports());
             assert_eq!(merged.reports.contexts(), 1);
             assert_eq!(merged.reports.dropped(), seq.reports().dropped());
@@ -1442,7 +1017,7 @@ mod tests {
         }
         assert!(seq.reports().dropped() > 0, "the scenario must saturate");
         for workers in [1, 2, 4] {
-            let merged = run_sharded(cfg, &events, workers);
+            let merged = replay_sharded(cfg, &events, workers);
             assert_eq!(merged.reports.reports(), seq.reports().reports());
             assert_eq!(
                 merged.reports.dropped(),
@@ -1457,8 +1032,8 @@ mod tests {
         let m = mixed_module();
         let trace = record_run(&m, VmConfig::round_robin(), "test").unwrap();
         let cfg = DetectorConfig::drd();
-        let a = run_sharded(cfg, &trace.events, NUM_SHARDS);
-        let b = run_sharded(cfg, &trace.events, 64);
+        let a = replay_sharded(cfg, &trace.events, NUM_SHARDS);
+        let b = replay_sharded(cfg, &trace.events, 64);
         assert_eq!(a.reports.reports(), b.reports.reports());
         assert_eq!(a.metrics, b.metrics);
     }
@@ -1487,7 +1062,7 @@ mod tests {
                 FaultPlan {
                     worker: 3,
                     at_event: 7,
-                    kind: FaultKind::DropHandoff,
+                    kind: FaultKind::Drop,
                 },
             ),
         ] {
@@ -1589,21 +1164,11 @@ mod tests {
         let cfg = DetectorConfig::helgrind_lib_spin(MsmMode::Short);
         let mut seq = RaceDetector::new(cfg);
         trace.replay(&mut seq);
-        for schedule in [Schedule::Static, Schedule::Balanced] {
-            for workers in [2, 4, 8] {
-                let merged = try_run_sharded_opts(
-                    cfg,
-                    &trace.events,
-                    workers,
-                    EngineOptions::scheduled(schedule),
-                )
-                .unwrap();
-                assert_matches_sequential(
-                    &merged,
-                    &seq,
-                    &format!("opts path, {workers} workers, {schedule}"),
-                );
-            }
+        for workers in [2, 4, 8] {
+            let merged =
+                try_run_sharded_opts(cfg, &trace.events, workers, EngineOptions::default())
+                    .unwrap();
+            assert_matches_sequential(&merged, &seq, &format!("opts path, {workers} workers"));
         }
     }
 }

@@ -1,18 +1,18 @@
-//! The unified detection request: **one** entry point over the whole
-//! `{tool source} × {sequential/parallel/streamed} × {schedule/options}`
-//! space the legacy `detect_*` method family spans.
+//! The detection request: the **one** way to run a detection, over the
+//! whole `{tool source} × {sequential/parallel/streamed} × {options}`
+//! space.
 //!
 //! A [`DetectRequest`] names *what* to detect (its targets: the run's own
 //! tool, other tools sharing the prepared module, or explicit detector
 //! configurations), *how* (its [`DetectMode`]), and under which
-//! [`EngineOptions`] (schedule, watchdog, budgets, fault injection). It
+//! [`EngineOptions`] (watchdog, budgets, fault injection). It
 //! is executed by [`ExecutedRun::run`] / [`ExecutedRun::try_run`] against
 //! a recorded trace, and by [`PreparedModule::try_run_streamed`] against
 //! a binary chunk stream — the same request type a detection server
 //! decodes straight off the wire.
 //!
 //! ```
-//! use spinrace_core::{DetectRequest, Schedule, Session, Tool};
+//! use spinrace_core::{DetectRequest, Session, Tool};
 //! use spinrace_tir::ModuleBuilder;
 //!
 //! let mut mb = ModuleBuilder::new("racy");
@@ -42,11 +42,9 @@
 //! let out = run.run(&DetectRequest::own()).into_single();
 //! assert!(out.has_race_on("g"));
 //!
-//! // …and the same request parallelized, scheduled, and fanned out over
-//! // two tools on one worker pool — byte-identical per target.
-//! let req = DetectRequest::tools(&[Tool::HelgrindLib, Tool::Drd])
-//!     .parallel(4)
-//!     .scheduled(Schedule::Balanced);
+//! // …and the same request parallelized and fanned out over two tools
+//! // on one worker pool — byte-identical per target.
+//! let req = DetectRequest::tools(&[Tool::HelgrindLib, Tool::Drd]).parallel(4);
 //! let outs = run.run(&req).into_vec();
 //! assert_eq!(outs.len(), 2);
 //! assert_eq!(outs[0].contexts, out.contexts);
@@ -56,7 +54,7 @@
 //! [`ExecutedRun::try_run`]: crate::ExecutedRun::try_run
 //! [`PreparedModule::try_run_streamed`]: crate::PreparedModule::try_run_streamed
 
-use crate::parallel::{Budget, EngineOptions, FaultPlan, Schedule};
+use crate::parallel::{Budget, EngineOptions, FaultPlan};
 use crate::{AnalysisOutcome, Tool};
 use spinrace_detector::DetectorConfig;
 use std::time::Duration;
@@ -65,15 +63,15 @@ use std::time::Duration;
 /// request resolves against the prepared module it runs on.
 #[derive(Clone, Copy, Debug)]
 pub enum DetectTarget {
-    /// The run's own tool, under the session's MSM flavour and cap —
-    /// what the legacy `detect()` family used.
+    /// The run's own tool, under the session's MSM flavour and cap.
     Own,
     /// Another tool's configuration and label. Only valid when that
     /// tool's preparation of the same source module yields the same
-    /// fingerprint (the `detect_as` sharing contract).
+    /// fingerprint (the fingerprint-sharing contract: e.g. `Helgrind+
+    /// lib` and `DRD` both run the unmodified module).
     Tool(Tool),
     /// An explicit detector configuration, labelled with the run's own
-    /// tool (the `detect_with` form).
+    /// tool.
     Config(DetectorConfig),
 }
 
@@ -84,7 +82,7 @@ pub enum DetectMode {
     Sequential,
     /// The sharded parallel engine on `workers` threads (clamped to
     /// `1..=NUM_SHARDS`); bit-identical to [`DetectMode::Sequential`]
-    /// at every width and schedule.
+    /// at every width.
     Parallel {
         /// Worker thread count.
         workers: usize,
@@ -99,8 +97,7 @@ pub enum DetectMode {
     Streamed,
 }
 
-/// A unified detection request — see the [module docs](self) for the
-/// legacy-method mapping and examples.
+/// A detection request — see the [module docs](self) for an example.
 #[derive(Clone, Debug)]
 pub struct DetectRequest {
     targets: Vec<DetectTarget>,
@@ -125,31 +122,29 @@ impl DetectRequest {
         }
     }
 
-    /// Detect under the run's own tool (the legacy `detect()` target).
+    /// Detect under the run's own tool.
     pub fn own() -> DetectRequest {
         DetectRequest::with_targets(vec![DetectTarget::Own])
     }
 
-    /// Detect under another tool's configuration and label (the legacy
-    /// `detect_as` target — the fingerprint-sharing contract applies).
+    /// Detect under another tool's configuration and label (the
+    /// fingerprint-sharing contract of [`DetectTarget::Tool`] applies).
     pub fn tool(tool: Tool) -> DetectRequest {
         DetectRequest::with_targets(vec![DetectTarget::Tool(tool)])
     }
 
-    /// Fan out over several tools on one request (the legacy
-    /// `detect_many_as_parallel` targets).
+    /// Fan out over several tools on one request.
     pub fn tools(tools: &[Tool]) -> DetectRequest {
         DetectRequest::with_targets(tools.iter().map(|&t| DetectTarget::Tool(t)).collect())
     }
 
     /// Detect under an explicit configuration, labelled with the run's
-    /// own tool (the legacy `detect_with` target).
+    /// own tool.
     pub fn config(cfg: DetectorConfig) -> DetectRequest {
         DetectRequest::with_targets(vec![DetectTarget::Config(cfg)])
     }
 
-    /// Fan out over several explicit configurations (the legacy
-    /// `detect_many` targets).
+    /// Fan out over several explicit configurations.
     pub fn configs(cfgs: &[DetectorConfig]) -> DetectRequest {
         DetectRequest::with_targets(cfgs.iter().map(|&c| DetectTarget::Config(c)).collect())
     }
@@ -178,12 +173,6 @@ impl DetectRequest {
         self
     }
 
-    /// Select the shard-to-worker scheduling mode.
-    pub fn scheduled(mut self, schedule: Schedule) -> DetectRequest {
-        self.options.schedule = schedule;
-        self
-    }
-
     /// Set resource budgets (event and shadow-byte ceilings).
     pub fn budget(mut self, budget: Budget) -> DetectRequest {
         self.options.budget = budget;
@@ -196,20 +185,14 @@ impl DetectRequest {
         self
     }
 
-    /// Override the per-handoff wait ceiling of the parallel engine.
-    pub fn handoff_timeout(mut self, limit: Duration) -> DetectRequest {
-        self.options.handoff_timeout = limit;
-        self
-    }
-
     /// Arm deterministic fault injection (tests/CI only).
     pub fn fault(mut self, fault: FaultPlan) -> DetectRequest {
         self.options.fault = Some(fault);
         self
     }
 
-    /// Replace the engine options wholesale (schedule, watchdog,
-    /// budgets, and fault plan at once).
+    /// Replace the engine options wholesale (watchdog, budgets, and
+    /// fault plan at once).
     pub fn options(mut self, options: EngineOptions) -> DetectRequest {
         self.options = options;
         self

@@ -10,12 +10,12 @@
 //!    [`ExecutedRun`];
 //! 3. [`ExecutedRun::run`] executes a [`DetectRequest`] — replay the
 //!    trace under any fan-out of tools/configurations, sequentially or
-//!    on the parallel sharded engine, with schedules, watchdogs, and
-//!    budgets — and each replay is equivalent to having run that
-//!    detector live (the VM hands events to sinks by reference,
-//!    synchronously, and detectors are deterministic). The historical
-//!    `detect_*` method family remains as thin wrappers over `run`;
-//!    see [`crate::request`] for the mapping.
+//!    on the parallel sharded engine, with watchdogs and budgets — and
+//!    each replay is equivalent to having run that detector live (the
+//!    VM hands events to sinks by reference, synchronously, and
+//!    detectors are deterministic). [`PreparedModule::try_run_streamed`]
+//!    executes the same request against a binary trace stream without
+//!    materializing it.
 //!
 //! Because the VM is deterministic, two tools whose preparation produced
 //! the same module (same [`Module::fingerprint`]) see the same stream —
@@ -23,10 +23,7 @@
 //! spin windows that accepted the same loops. Harnesses exploit this by
 //! caching [`ExecutedRun`]s per fingerprint and fanning detection out.
 
-use crate::parallel::{
-    expect_engine, BudgetResource, EngineError, EngineOptions, PartialMetrics, Schedule,
-    PERIODIC_MASK,
-};
+use crate::parallel::{expect_engine, BudgetResource, EngineError, PartialMetrics, PERIODIC_MASK};
 use crate::request::{DetectMode, DetectOutcome, DetectRequest, DetectTarget};
 use crate::{AnalysisOutcome, AnalyzeError, DescribedReport, Tool};
 use spinrace_detector::{AnyDetector, DetectorConfig, MsmMode};
@@ -247,7 +244,7 @@ impl PreparedModule {
     /// [`DetectMode`] (the parallel engine shards over a full event
     /// slice and goes through [`ExecutedRun`] instead), but the
     /// request's targets fan out on one pass and its watchdog/budget
-    /// [`EngineOptions`] are enforced.
+    /// [`EngineOptions`](crate::EngineOptions) are enforced.
     ///
     /// Fails with [`AnalyzeError::TraceMismatch`] when the stream's
     /// fingerprint does not match this prepared module, with
@@ -374,49 +371,6 @@ impl PreparedModule {
         Ok((DetectOutcome { outcomes }, stats))
     }
 
-    /// Replay a binary trace stream under this module's own tool.
-    ///
-    /// Legacy wrapper: equivalent to
-    /// [`try_run_streamed`](Self::try_run_streamed) with
-    /// [`DetectRequest::own`] — prefer the request form.
-    pub fn try_detect_streamed<R: io::Read + Send>(
-        &self,
-        reader: ChunkedTraceReader<R>,
-    ) -> Result<(AnalysisOutcome, StreamStats), AnalyzeError> {
-        let (out, stats) = self.try_run_streamed(&DetectRequest::own(), reader)?;
-        Ok((out.into_single(), stats))
-    }
-
-    /// Streamed replay under an explicit detector configuration.
-    ///
-    /// Legacy wrapper: equivalent to
-    /// [`try_run_streamed`](Self::try_run_streamed) with
-    /// [`DetectRequest::config`] — prefer the request form.
-    pub fn try_detect_streamed_with<R: io::Read + Send>(
-        &self,
-        cfg: DetectorConfig,
-        reader: ChunkedTraceReader<R>,
-    ) -> Result<(AnalysisOutcome, StreamStats), AnalyzeError> {
-        let (out, stats) = self.try_run_streamed(&DetectRequest::config(cfg), reader)?;
-        Ok((out.into_single(), stats))
-    }
-
-    /// Streamed replay under *another tool's* configuration and label —
-    /// the fingerprint-sharing contract of [`ExecutedRun::detect_as`]
-    /// applies.
-    ///
-    /// Legacy wrapper: equivalent to
-    /// [`try_run_streamed`](Self::try_run_streamed) with
-    /// [`DetectRequest::tool`] — prefer the request form.
-    pub fn try_detect_streamed_as<R: io::Read + Send>(
-        &self,
-        tool: Tool,
-        reader: ChunkedTraceReader<R>,
-    ) -> Result<(AnalysisOutcome, StreamStats), AnalyzeError> {
-        let (out, stats) = self.try_run_streamed(&DetectRequest::tool(tool), reader)?;
-        Ok((out.into_single(), stats))
-    }
-
     /// Build the user-facing outcome from a finished detector.
     fn assemble(
         &self,
@@ -539,7 +493,7 @@ impl ExecutedRun {
     /// whole stream is materialized; it is the right entry point for the
     /// parallel replay engine and detection fan-out. For bounded-memory
     /// sequential replay, open a [`ChunkedTraceReader`] and use
-    /// [`PreparedModule::try_detect_streamed`].
+    /// [`PreparedModule::try_run_streamed`].
     pub fn from_trace_file(
         prepared: PreparedModule,
         path: &Path,
@@ -573,336 +527,47 @@ impl ExecutedRun {
     /// Execute a [`DetectRequest`] against the recorded trace: every
     /// target replays on the mode the request selects (sequentially, or
     /// on the parallel sharded engine — multi-target fan-outs share one
-    /// worker pool), under the request's schedule, watchdog, budget,
-    /// and fault options. Outcomes come back in target order and are
-    /// bit-identical across every mode, worker count, and schedule.
+    /// worker pool), under the request's watchdog, budget, and fault
+    /// options. Outcomes come back in target order and are
+    /// bit-identical across every mode and worker count.
     ///
     /// [`DetectMode::Streamed`] degenerates to sequential here: the
     /// trace is already materialized. Bounded-memory streaming goes
     /// through [`PreparedModule::try_run_streamed`] instead.
     ///
-    /// Fails with a structured [`EngineError`] on a worker panic, lost
-    /// or timed-out handoff, watchdog trip, or exhausted budget;
-    /// without explicit options none of those can happen and
-    /// [`ExecutedRun::run`] is the convenient form.
+    /// Fails with a structured [`EngineError`] on a worker panic or
+    /// loss, watchdog trip, exhausted budget, or a predictive target
+    /// under parallel replay; without explicit options only the last
+    /// and a genuine worker panic can happen, and [`ExecutedRun::run`]
+    /// is the convenient form.
     pub fn try_run(&self, req: &DetectRequest) -> Result<DetectOutcome, EngineError> {
         let resolved = self.prepared.resolve_targets(req);
         let workers = match req.mode() {
             DetectMode::Parallel { workers } => workers,
             DetectMode::Sequential | DetectMode::Streamed => 1,
         };
-        let opts = req.engine_options();
-        let outcomes = if resolved.len() == 1 {
-            // The single-target path keeps the engine's full fault and
-            // error machinery exactly as the `try_detect_*` family
-            // exposed it.
-            let (label, cfg) = resolved.into_iter().next().unwrap();
-            let merged =
-                crate::parallel::try_run_sharded_opts(cfg, &self.trace.events, workers, opts)?;
-            vec![self.merged_outcome(label, merged)]
-        } else {
-            let cfgs: Vec<DetectorConfig> = resolved.iter().map(|&(_, cfg)| cfg).collect();
-            crate::parallel::try_run_many_sharded_opts(&cfgs, &self.trace.events, workers, opts)?
-                .into_iter()
-                .zip(resolved)
-                .map(|(merged, (label, _))| self.merged_outcome(label, merged))
-                .collect()
-        };
+        let cfgs: Vec<DetectorConfig> = resolved.iter().map(|&(_, cfg)| cfg).collect();
+        let merged = crate::parallel::try_run_many_sharded_opts(
+            &cfgs,
+            &self.trace.events,
+            workers,
+            req.engine_options(),
+        )?;
+        let outcomes = merged
+            .into_iter()
+            .zip(resolved)
+            .map(|(merged, (label, _))| self.merged_outcome(label, merged))
+            .collect();
         Ok(DetectOutcome { outcomes })
     }
 
     /// [`Self::try_run`], unwrapped: panics when the replay engine
     /// fails (without explicit [`EngineOptions`] the only way that can
     /// happen is a genuine worker panic).
+    ///
+    /// [`EngineOptions`]: crate::EngineOptions
     pub fn run(&self, req: &DetectRequest) -> DetectOutcome {
         expect_engine(self.try_run(req))
-    }
-
-    // ---- legacy wrappers over `run`/`try_run` ----
-
-    /// Replay under this module's own tool with the session's defaults.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::own`] — prefer the request form.
-    pub fn detect(&self) -> AnalysisOutcome {
-        self.run(&DetectRequest::own()).into_single()
-    }
-
-    /// Replay under an explicit detector configuration (labelled with this
-    /// module's own tool).
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::config`] — prefer the request form.
-    pub fn detect_with(&self, cfg: DetectorConfig) -> AnalysisOutcome {
-        self.run(&DetectRequest::config(cfg)).into_single()
-    }
-
-    /// Replay once per configuration: one execution, many detections.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::configs`] — prefer the request form.
-    pub fn detect_many(&self, cfgs: &[DetectorConfig]) -> Vec<AnalysisOutcome> {
-        self.run(&DetectRequest::configs(cfgs)).into_vec()
-    }
-
-    /// Replay under *another tool's* detector configuration. Only valid
-    /// when that tool's preparation of the same source module yields a
-    /// prepared module with the same fingerprint (e.g. `Helgrind+ lib`
-    /// and `DRD`, which both run the unmodified module) — harnesses check
-    /// fingerprints before sharing.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::tool`] — prefer the request form.
-    pub fn detect_as(&self, tool: Tool) -> AnalysisOutcome {
-        self.run(&DetectRequest::tool(tool)).into_single()
-    }
-
-    // ---- parallel sharded replay (see `crate::parallel`) ----
-
-    /// Replay under this module's own tool on `workers` threads with the
-    /// default [`Schedule::Balanced`] plan. The outcome — reports,
-    /// contexts, metrics, promotions — is bit-identical to
-    /// [`ExecutedRun::detect`] for every worker count and schedule; at
-    /// 1 worker this takes the sequential fast path (no pool, no
-    /// ownership gate — same cost as [`ExecutedRun::detect`]).
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::own`]`.parallel(workers)` — prefer the request
-    /// form.
-    pub fn detect_parallel(&self, workers: usize) -> AnalysisOutcome {
-        self.run(&DetectRequest::own().parallel(workers))
-            .into_single()
-    }
-
-    /// [`ExecutedRun::detect_parallel`] with an explicit scheduling mode.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::own`]`.parallel(workers).scheduled(schedule)`.
-    pub fn detect_parallel_scheduled(&self, workers: usize, schedule: Schedule) -> AnalysisOutcome {
-        self.run(&DetectRequest::own().parallel(workers).scheduled(schedule))
-            .into_single()
-    }
-
-    /// Parallel replay under an explicit detector configuration (labelled
-    /// with this module's own tool).
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::config`]`(cfg).parallel(workers)`.
-    pub fn detect_with_parallel(&self, cfg: DetectorConfig, workers: usize) -> AnalysisOutcome {
-        self.run(&DetectRequest::config(cfg).parallel(workers))
-            .into_single()
-    }
-
-    /// [`ExecutedRun::detect_with_parallel`] with an explicit schedule.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::config`]`(cfg).parallel(workers).scheduled(schedule)`.
-    pub fn detect_with_parallel_scheduled(
-        &self,
-        cfg: DetectorConfig,
-        workers: usize,
-        schedule: Schedule,
-    ) -> AnalysisOutcome {
-        self.run(
-            &DetectRequest::config(cfg)
-                .parallel(workers)
-                .scheduled(schedule),
-        )
-        .into_single()
-    }
-
-    /// Parallel replay under *another tool's* configuration — the
-    /// fingerprint-sharing contract of [`ExecutedRun::detect_as`] applies.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::tool`]`(tool).parallel(workers)`.
-    pub fn detect_as_parallel(&self, tool: Tool, workers: usize) -> AnalysisOutcome {
-        self.run(&DetectRequest::tool(tool).parallel(workers))
-            .into_single()
-    }
-
-    /// [`ExecutedRun::detect_as_parallel`] with an explicit schedule.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::tool`]`(tool).parallel(workers).scheduled(schedule)`.
-    pub fn detect_as_parallel_scheduled(
-        &self,
-        tool: Tool,
-        workers: usize,
-        schedule: Schedule,
-    ) -> AnalysisOutcome {
-        self.run(
-            &DetectRequest::tool(tool)
-                .parallel(workers)
-                .scheduled(schedule),
-        )
-        .into_single()
-    }
-
-    /// Parallel fan-out: one recorded execution, many parallel detections
-    /// on **one** shared worker pool (threads are spawned once, not once
-    /// per configuration — see [`crate::parallel::run_many_sharded`]).
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::configs`]`(cfgs).parallel(workers)`.
-    pub fn detect_many_parallel(
-        &self,
-        cfgs: &[DetectorConfig],
-        workers: usize,
-    ) -> Vec<AnalysisOutcome> {
-        self.run(&DetectRequest::configs(cfgs).parallel(workers))
-            .into_vec()
-    }
-
-    /// Tool fan-out on one shared pool: replay once per tool in `tools`,
-    /// each labelled with its own tool. Every tool must satisfy the
-    /// fingerprint-sharing contract of [`ExecutedRun::detect_as`].
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::tools`]`(tools).parallel(workers)`.
-    pub fn detect_many_as_parallel(&self, tools: &[Tool], workers: usize) -> Vec<AnalysisOutcome> {
-        self.run(&DetectRequest::tools(tools).parallel(workers))
-            .into_vec()
-    }
-
-    // ---- fallible parallel replay ----
-
-    /// Fallible [`ExecutedRun::detect_parallel`]: a worker panic, handoff
-    /// timeout, watchdog trip, or exhausted budget comes back as a
-    /// structured [`EngineError`] instead of a panic or a hang.
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::own`]`.parallel(workers)`.
-    pub fn try_detect_parallel(&self, workers: usize) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::own().parallel(workers))?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_parallel_scheduled`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::own`]`.parallel(workers).scheduled(schedule)`.
-    pub fn try_detect_parallel_scheduled(
-        &self,
-        workers: usize,
-        schedule: Schedule,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::own().parallel(workers).scheduled(schedule))?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_with_parallel`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::config`]`(cfg).parallel(workers)`.
-    pub fn try_detect_with_parallel(
-        &self,
-        cfg: DetectorConfig,
-        workers: usize,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::config(cfg).parallel(workers))?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_with_parallel_scheduled`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::config`]`(cfg).parallel(workers).scheduled(schedule)`.
-    pub fn try_detect_with_parallel_scheduled(
-        &self,
-        cfg: DetectorConfig,
-        workers: usize,
-        schedule: Schedule,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(
-                &DetectRequest::config(cfg)
-                    .parallel(workers)
-                    .scheduled(schedule),
-            )?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_as_parallel`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::tool`]`(tool).parallel(workers)`.
-    pub fn try_detect_as_parallel(
-        &self,
-        tool: Tool,
-        workers: usize,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::tool(tool).parallel(workers))?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_as_parallel_scheduled`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::tool`]`(tool).parallel(workers).scheduled(schedule)`.
-    pub fn try_detect_as_parallel_scheduled(
-        &self,
-        tool: Tool,
-        workers: usize,
-        schedule: Schedule,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(
-                &DetectRequest::tool(tool)
-                    .parallel(workers)
-                    .scheduled(schedule),
-            )?
-            .into_single())
-    }
-
-    /// Parallel replay under another tool's configuration with full
-    /// [`EngineOptions`] control — schedule, watchdogs, budgets, and
-    /// fault injection. This is the entry point `trace replay --fault`
-    /// drives.
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::tool`]`(tool).parallel(workers).options(opts)`.
-    pub fn try_detect_as_parallel_opts(
-        &self,
-        tool: Tool,
-        workers: usize,
-        opts: EngineOptions,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::tool(tool).parallel(workers).options(opts))?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_many_parallel`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::configs`]`(cfgs).parallel(workers)`.
-    pub fn try_detect_many_parallel(
-        &self,
-        cfgs: &[DetectorConfig],
-        workers: usize,
-    ) -> Result<Vec<AnalysisOutcome>, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::configs(cfgs).parallel(workers))?
-            .into_vec())
-    }
-
-    /// Fallible [`ExecutedRun::detect_many_as_parallel`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::tools`]`(tools).parallel(workers)`.
-    pub fn try_detect_many_as_parallel(
-        &self,
-        tools: &[Tool],
-        workers: usize,
-    ) -> Result<Vec<AnalysisOutcome>, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::tools(tools).parallel(workers))?
-            .into_vec())
     }
 
     fn merged_outcome(
@@ -986,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn detect_many_fans_out_configurations() {
+    fn config_requests_fan_out_configurations() {
         let m = racy();
         let run = Session::for_module(&m)
             .prepare(Tool::HelgrindLib)
@@ -1012,7 +677,7 @@ mod tests {
             .execute()
             .unwrap();
         // Lib and DRD share the unmodified module's fingerprint, so both
-        // may replay this recording (the detect_as contract).
+        // may replay this recording (the fingerprint-sharing contract).
         let tools = [Tool::HelgrindLib, Tool::Drd];
         for workers in [1, 2, 4] {
             let pooled = run
@@ -1038,14 +703,12 @@ mod tests {
             .execute()
             .unwrap();
         let seq = run.run(&DetectRequest::own()).into_single();
-        for schedule in [Schedule::Static, Schedule::Balanced] {
-            for workers in [1, 2, 4, 8] {
-                let par = run
-                    .run(&DetectRequest::own().parallel(workers).scheduled(schedule))
-                    .into_single();
-                assert_eq!(par.contexts, seq.contexts, "{schedule} at {workers}");
-                assert_eq!(par.metrics, seq.metrics, "{schedule} at {workers}");
-            }
+        for workers in [1, 2, 4, 8] {
+            let par = run
+                .run(&DetectRequest::own().parallel(workers))
+                .into_single();
+            assert_eq!(par.contexts, seq.contexts, "at {workers}");
+            assert_eq!(par.metrics, seq.metrics, "at {workers}");
         }
     }
 
@@ -1229,42 +892,6 @@ mod tests {
         assert!(ExecutedRun::from_trace(lib, run2.into_trace()).is_ok());
     }
 
-    /// Every legacy `detect_*` wrapper agrees with its request form —
-    /// the contract that lets the old surface stay as one-liners.
-    #[test]
-    fn legacy_wrappers_delegate_to_requests() {
-        let m = racy();
-        let run = Session::for_module(&m)
-            .prepare(Tool::HelgrindLib)
-            .unwrap()
-            .execute()
-            .unwrap();
-        let via_request = run.run(&DetectRequest::own()).into_single();
-        let legacy = run.detect();
-        assert_eq!(legacy.contexts, via_request.contexts);
-        assert_eq!(legacy.reports.len(), via_request.reports.len());
-        assert_eq!(legacy.metrics, via_request.metrics);
-
-        let par = run.detect_parallel(4);
-        assert_eq!(par.contexts, via_request.contexts);
-        assert_eq!(par.metrics, via_request.metrics);
-
-        let as_drd = run.detect_as(Tool::Drd);
-        let as_drd_req = run.run(&DetectRequest::tool(Tool::Drd)).into_single();
-        assert_eq!(as_drd.tool_label, as_drd_req.tool_label);
-        assert_eq!(as_drd.contexts, as_drd_req.contexts);
-
-        let cfg = run.prepared().default_config().with_cap(1);
-        assert_eq!(
-            run.detect_with(cfg).contexts,
-            run.run(&DetectRequest::config(cfg)).into_single().contexts
-        );
-        assert_eq!(
-            run.try_detect_parallel(2).unwrap().contexts,
-            via_request.contexts
-        );
-    }
-
     /// A mixed-target request fans out own tool, foreign tool, and an
     /// explicit configuration on one pass, in target order.
     #[test]
@@ -1362,6 +989,45 @@ mod tests {
                 assert_eq!(partial.events_processed, limit);
             }
             other => panic!("unexpected error: {other}"),
+        }
+    }
+
+    /// A predictive target under parallel replay is refused before the
+    /// event budget is looked at, whether it runs alone or in a fan-out;
+    /// sequentially the same requests trip the budget instead.
+    #[test]
+    fn predictive_refusal_precedes_the_event_budget() {
+        let m = racy();
+        let run = Session::for_module(&m)
+            .prepare(Tool::SyncPreserving)
+            .unwrap()
+            .execute()
+            .unwrap();
+        let budget = crate::Budget::default().with_max_events(1);
+        let one = DetectRequest::own();
+        let two = DetectRequest::own().and_target(DetectTarget::Tool(Tool::Drd));
+        for req in [one, two] {
+            let targets = req.targets().len();
+            let err = run
+                .try_run(&req.clone().parallel(2).budget(budget))
+                .expect_err("parallel predictive replay must fail");
+            assert!(
+                matches!(err, EngineError::Unsupported { .. }),
+                "{targets} target(s): expected Unsupported, got {err}"
+            );
+            let err = run
+                .try_run(&req.parallel(1).budget(budget))
+                .expect_err("the budget must trip");
+            assert!(
+                matches!(
+                    err,
+                    EngineError::BudgetExhausted {
+                        resource: BudgetResource::Events,
+                        ..
+                    }
+                ),
+                "{targets} target(s): expected BudgetExhausted, got {err}"
+            );
         }
     }
 }

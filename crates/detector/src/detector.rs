@@ -20,7 +20,7 @@ use crate::lockset::{LocksetId, LocksetTable};
 use crate::report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
 use crate::shadow::{AccessRecord, ReadState, ShadowTable};
 use crate::sharded::{
-    emit_report, LocksetOp, PromotionSeeds, ShardHandoff, ShardSpec, WorkerFragment, WorkerState,
+    emit_report, LocksetOp, PromotionSeeds, ShardSpec, WorkerFragment, WorkerState,
 };
 use crate::vc::{Epoch, VectorClock};
 use fxhash::FxHashMap;
@@ -130,74 +130,16 @@ impl RaceDetector {
     }
 
     /// Does this detector process plain accesses to `addr`? Always true
-    /// sequentially; in a worker, only for shards the current phase
-    /// assigns to it. Broadcast events that fall through to the
-    /// plain-access path (e.g. a write to an eventually-promoted location
-    /// before its promotion) stop here on non-owners.
+    /// sequentially; in a worker, only for the shards it owns. Broadcast
+    /// events that fall through to the plain-access path (e.g. a write to
+    /// an eventually-promoted location before its promotion) stop here on
+    /// non-owners.
     #[inline]
     fn owns(&self, addr: u64) -> bool {
         match &self.worker {
             None => true,
             Some(w) => w.owns_addr(addr),
         }
-    }
-
-    /// Worker mode: switch to `phase`'s shard assignment. Call only after
-    /// the boundary's [`ShardHandoff`]s have been exchanged — the gate and
-    /// the shadow state must change hands together.
-    pub fn enter_phase(&mut self, phase: usize) {
-        self.worker
-            .as_mut()
-            .expect("enter_phase requires a worker-mode detector")
-            .enter_phase(phase);
-    }
-
-    /// Export shard `s` for an ownership handoff: lift the shadow shard
-    /// out wholesale and attach the contents of every lockset id its
-    /// cells reference (ids are worker-local; the importer re-interns by
-    /// contents).
-    pub fn export_shard(&mut self, s: usize) -> ShardHandoff {
-        let payload = self.shadow.extract_shard(s);
-        let mut ids: Vec<LocksetId> = payload
-            .cells()
-            .filter_map(|c| c.write_lockset.map(|(id, ..)| id))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let locksets = ids
-            .into_iter()
-            .map(|id| (id, self.locksets.get(id).to_vec()))
-            .collect();
-        ShardHandoff {
-            shard: s,
-            payload,
-            locksets,
-        }
-    }
-
-    /// Import a handed-off shard: re-intern the sender's lockset sets
-    /// locally, rewrite the cells' ids, and implant the shadow pages.
-    /// Receiver-local interning cannot perturb the merged metrics — the
-    /// merged lockset table is rebuilt purely from the op log — and any
-    /// set present here was already created in the sequential table by
-    /// this point of the stream, so the logger's intern-dedup stays
-    /// faithful (see [`crate::sharded`]'s module docs).
-    pub fn import_shard(&mut self, handoff: ShardHandoff) {
-        let ShardHandoff {
-            shard,
-            mut payload,
-            locksets,
-        } = handoff;
-        let map: FxHashMap<LocksetId, LocksetId> = locksets
-            .into_iter()
-            .map(|(old, contents)| (old, self.locksets.intern_presorted(&contents)))
-            .collect();
-        for cell in payload.cells_mut() {
-            if let Some((id, ..)) = &mut cell.write_lockset {
-                *id = map[id];
-            }
-        }
-        self.shadow.implant_shard(shard, payload);
     }
 
     /// Seal a *sequential* detector into the merged-detection shape — the

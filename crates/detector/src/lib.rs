@@ -61,10 +61,9 @@ pub use metrics::DetectorMetrics;
 pub use predict::SyncPreservingDetector;
 pub use reference::ReferenceDetector;
 pub use report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
-pub use shadow::{shard_of, ExtractedShard, NUM_SHARDS};
+pub use shadow::{shard_of, NUM_SHARDS};
 pub use sharded::{
     compute_promotion_seeds, event_route, merge_fragments, shard_occupancy, try_merge_fragments,
-    EventRoute, MergedDetection, PromotionSeeds, Schedule, SchedulePlan, ShardHandoff, ShardSpec,
-    ShardTransfer, WorkerFragment,
+    EventRoute, MergedDetection, PromotionSeeds, ShardSpec, WorkerFragment,
 };
 pub use vc::{Epoch, VectorClock};

@@ -2,19 +2,13 @@
 //!
 //! A recorded trace can be detected in parallel by partitioning its plain
 //! data accesses along [`ShadowTable`](crate::shadow::ShadowTable)'s shard
-//! seam: each worker owns a set of shards (fixed by a [`SchedulePlan`] —
-//! either the static modular split `s % W == i` or an occupancy-aware
-//! LPT packing, see [`Schedule`]), processes the plain accesses whose
-//! addresses fall in its shards, and replicates all synchronization
-//! events (spawn/join, locks, condvars, barriers, semaphores, atomics,
-//! spin promotion/exit) so its per-thread vector clocks evolve
-//! **exactly** as the sequential detector's do. Ownership may move
-//! between workers at plan boundaries — a deterministic, pre-planned
-//! form of work stealing in which the departing owner hands the whole
-//! shard (shadow pages plus translated lockset ids, [`ShardHandoff`]) to
-//! the new owner, so per-shard event order is untouched. Three
-//! mechanisms make the merged result bit-identical to a sequential replay
-//! (not merely equivalent):
+//! seam: worker `i` of `W` owns shard `s` iff `s % W == i` (a
+//! [`ShardSpec`]), processes the plain accesses whose addresses fall in
+//! its shards, and replicates all synchronization events (spawn/join,
+//! locks, condvars, barriers, semaphores, atomics, spin promotion/exit)
+//! so its per-thread vector clocks evolve **exactly** as the sequential
+//! detector's do. Three mechanisms make the merged result bit-identical
+//! to a sequential replay (not merely equivalent):
 //!
 //! 1. **Promotion seeds** ([`compute_promotion_seeds`]) — promoting a spin
 //!    condition location seeds its release clock from the location's last
@@ -42,249 +36,18 @@
 //! in lock-step with the detector's semantics.
 
 use crate::config::DetectorConfig;
-use crate::lockset::{LocksetId, LocksetTable};
+use crate::lockset::LocksetTable;
 use crate::metrics::DetectorMetrics;
 use crate::report::{RaceReport, ReportCollector};
-use crate::shadow::{shard_of, ExtractedShard, NUM_SHARDS};
+use crate::shadow::{shard_of, NUM_SHARDS};
 use crate::vc::Epoch;
 use fxhash::{FxHashMap, FxHashSet};
 use spinrace_tir::Pc;
 use spinrace_vm::Event;
-use std::str::FromStr;
 use std::sync::Arc;
 
-/// How parallel replay assigns shards to workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Schedule {
-    /// Static modular ownership: worker `i` of `W` owns shard `s` iff
-    /// `s % W == i`, for the whole stream. Oblivious to skew.
-    Static,
-    /// Occupancy-aware: a pre-pass histograms owner-routed events per
-    /// shard and packs shards onto workers by LPT (longest processing
-    /// time first) bin-packing, re-packing at chunk boundaries when the
-    /// carried assignment has drifted badly out of balance (planned
-    /// shard stealing). The default.
-    #[default]
-    Balanced,
-}
-
-impl Schedule {
-    /// Stable lowercase name (CLI/JSON).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Schedule::Static => "static",
-            Schedule::Balanced => "balanced",
-        }
-    }
-}
-
-impl std::fmt::Display for Schedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for Schedule {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Schedule, String> {
-        match s {
-            "static" => Ok(Schedule::Static),
-            "balanced" => Ok(Schedule::Balanced),
-            other => Err(format!("unknown schedule '{other}' (static|balanced)")),
-        }
-    }
-}
-
-/// One planned ownership transfer: at `boundary`, `shard` moves from
-/// worker `from` to worker `to`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardTransfer {
-    /// Index into [`SchedulePlan::boundaries`].
-    pub boundary: usize,
-    /// The shard that changes hands.
-    pub shard: usize,
-    /// Departing owner.
-    pub from: usize,
-    /// New owner.
-    pub to: usize,
-}
-
-/// A precomputed shard-ownership schedule for one replay: phase 0 covers
-/// events `[0, boundaries[0])`, phase `p > 0` covers
-/// `[boundaries[p-1], boundaries[p])` (the last phase runs to the end of
-/// the stream), and `assignments[p][s]` names the worker owning shard `s`
-/// during phase `p`. Every worker carries the same `Arc`'d plan, so the
-/// routing gate and the handoff protocol can never disagree about who
-/// owns what when.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SchedulePlan {
-    workers: usize,
-    boundaries: Vec<u64>,
-    assignments: Vec<[u8; NUM_SHARDS]>,
-    occupancy: [u64; NUM_SHARDS],
-}
-
-/// LPT (longest processing time first) bin-packing of shard loads onto
-/// workers: heaviest shard first, each to the currently least-loaded
-/// worker; all ties break toward the lower index, so the packing is a
-/// pure function of the histogram.
-fn lpt(hist: &[u64; NUM_SHARDS], workers: usize) -> [u8; NUM_SHARDS] {
-    let mut order: [usize; NUM_SHARDS] = std::array::from_fn(|s| s);
-    order.sort_by_key(|&s| (std::cmp::Reverse(hist[s]), s));
-    let mut load = vec![0u64; workers];
-    let mut assignment = [0u8; NUM_SHARDS];
-    for s in order {
-        let w = (0..workers).min_by_key(|&w| (load[w], w)).unwrap_or(0);
-        assignment[s] = w as u8;
-        load[w] += hist[s];
-    }
-    assignment
-}
-
-/// The most-loaded worker's event count under `assignment` — the
-/// makespan LPT minimizes.
-fn max_load(hist: &[u64; NUM_SHARDS], assignment: &[u8; NUM_SHARDS], workers: usize) -> u64 {
-    let mut load = vec![0u64; workers];
-    for s in 0..NUM_SHARDS {
-        load[assignment[s] as usize] += hist[s];
-    }
-    load.into_iter().max().unwrap_or(0)
-}
-
-impl SchedulePlan {
-    /// The static modular assignment (`s % workers`), single phase.
-    pub fn static_plan(workers: usize) -> SchedulePlan {
-        let workers = workers.clamp(1, NUM_SHARDS);
-        SchedulePlan {
-            workers,
-            boundaries: Vec::new(),
-            assignments: vec![std::array::from_fn(|s| (s % workers) as u8)],
-            occupancy: [0; NUM_SHARDS],
-        }
-    }
-
-    /// Occupancy-aware plan with the default chunking: one eighth of the
-    /// stream per chunk, but at least 65 536 events — small traces get a
-    /// single phase (whole-stream LPT, zero handoffs).
-    pub fn balanced(
-        cfg: DetectorConfig,
-        seeds: &PromotionSeeds,
-        events: &[Event],
-        workers: usize,
-    ) -> SchedulePlan {
-        SchedulePlan::balanced_chunked(cfg, seeds, events, workers, (events.len() / 8).max(65_536))
-    }
-
-    /// Occupancy-aware plan with an explicit chunk size (test hook).
-    ///
-    /// The pre-pass histograms [`EventRoute::Owner`]-routed events per
-    /// shard and chunk (broadcast events cost every worker the same and
-    /// don't affect balance). Phase 0 is the LPT packing of the first
-    /// chunk; at each later chunk boundary the fresh LPT packing is
-    /// adopted only when the carried assignment's makespan on that chunk
-    /// exceeds the fresh one's by more than 25% — hysteresis that keeps
-    /// stationary streams (like zipf, whose skew does not move) at zero
-    /// handoffs while letting genuinely phase-shifting streams re-pack.
-    pub fn balanced_chunked(
-        cfg: DetectorConfig,
-        seeds: &PromotionSeeds,
-        events: &[Event],
-        workers: usize,
-        chunk: usize,
-    ) -> SchedulePlan {
-        let workers = workers.clamp(1, NUM_SHARDS);
-        let chunk = chunk.max(1);
-        let n_chunks = events.len().div_ceil(chunk).max(1);
-        let mut hists = vec![[0u64; NUM_SHARDS]; n_chunks];
-        let mut occupancy = [0u64; NUM_SHARDS];
-        for (i, ev) in events.iter().enumerate() {
-            if let EventRoute::Owner(addr) = event_route(cfg, seeds, ev) {
-                let s = shard_of(addr);
-                hists[i / chunk][s] += 1;
-                occupancy[s] += 1;
-            }
-        }
-        // First phase: LPT of the *whole* stream, not just the first
-        // chunk — when the distribution is stationary this is the one
-        // assignment the plan keeps throughout.
-        let mut assignments = vec![lpt(&occupancy, workers)];
-        let mut boundaries = Vec::new();
-        for (k, hist) in hists.iter().enumerate().skip(1) {
-            let cur = assignments.last().unwrap();
-            let fresh = lpt(hist, workers);
-            let carried = max_load(hist, cur, workers);
-            let best = max_load(hist, &fresh, workers);
-            // carried > 1.25 × best, in integers.
-            if carried * 4 > best * 5 && fresh != *cur {
-                boundaries.push((k * chunk) as u64);
-                assignments.push(fresh);
-            }
-        }
-        SchedulePlan {
-            workers,
-            boundaries,
-            assignments,
-            occupancy,
-        }
-    }
-
-    /// Workers this plan schedules.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Number of phases (`boundaries().len() + 1`).
-    pub fn phases(&self) -> usize {
-        self.assignments.len()
-    }
-
-    /// Event indices at which a new phase begins (ascending; phase 0
-    /// starts at event 0 implicitly).
-    pub fn boundaries(&self) -> &[u64] {
-        &self.boundaries
-    }
-
-    /// Shard → worker assignment during `phase`.
-    pub fn assignment(&self, phase: usize) -> &[u8; NUM_SHARDS] {
-        &self.assignments[phase]
-    }
-
-    /// Owner-routed events per shard over the whole stream (all zeros
-    /// for [`SchedulePlan::static_plan`], which never scans the stream).
-    pub fn occupancy(&self) -> &[u64; NUM_SHARDS] {
-        &self.occupancy
-    }
-
-    /// Every planned ownership transfer, boundary-major.
-    pub fn transfers(&self) -> Vec<ShardTransfer> {
-        let mut out = Vec::new();
-        for b in 0..self.boundaries.len() {
-            let (prev, next) = (&self.assignments[b], &self.assignments[b + 1]);
-            for s in 0..NUM_SHARDS {
-                if prev[s] != next[s] {
-                    out.push(ShardTransfer {
-                        boundary: b,
-                        shard: s,
-                        from: prev[s] as usize,
-                        to: next[s] as usize,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Total planned shard handoffs.
-    pub fn handoffs(&self) -> usize {
-        self.transfers().len()
-    }
-}
-
 /// Plain-access occupancy per shadow shard, configuration-free: the
-/// skew diagnostic `trace stats` and the perf workload rows expose. (A
-/// [`SchedulePlan`] uses a config-aware variant internally — routing
-/// depends on the tool — but for observability the raw plain-access
-/// distribution is the right tool-independent answer.)
+/// skew diagnostic `trace stats` and the perf workload rows expose.
 pub fn shard_occupancy(events: &[Event]) -> [u64; NUM_SHARDS] {
     let mut hist = [0u64; NUM_SHARDS];
     for ev in events {
@@ -297,33 +60,29 @@ pub fn shard_occupancy(events: &[Event]) -> [u64; NUM_SHARDS] {
     hist
 }
 
-/// One worker's identity in a replay pool: its index plus the shared
-/// [`SchedulePlan`] saying which shards it owns in each phase.
-#[derive(Clone, Debug)]
+/// One worker's identity in a replay pool: worker `index` of `workers`
+/// owns shard `s` iff `s % workers == index`, for the whole stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
-    plan: Arc<SchedulePlan>,
+    workers: usize,
     index: usize,
 }
 
 impl ShardSpec {
-    /// Worker `index` of a statically scheduled `workers`-wide pool.
-    pub fn static_spec(workers: usize, index: usize) -> ShardSpec {
-        ShardSpec::planned(Arc::new(SchedulePlan::static_plan(workers)), index)
-    }
-
-    /// Worker `index` under an explicit plan.
-    pub fn planned(plan: Arc<SchedulePlan>, index: usize) -> ShardSpec {
+    /// Worker `index` of a `workers`-wide pool (`workers` is clamped to
+    /// `1..=NUM_SHARDS`).
+    pub fn new(workers: usize, index: usize) -> ShardSpec {
+        let workers = workers.clamp(1, NUM_SHARDS);
         assert!(
-            index < plan.workers(),
-            "invalid shard spec: worker {index}/{}",
-            plan.workers()
+            index < workers,
+            "invalid shard spec: worker {index}/{workers}"
         );
-        ShardSpec { plan, index }
+        ShardSpec { workers, index }
     }
 
     /// Total workers in the pool.
     pub fn workers(&self) -> usize {
-        self.plan.workers()
+        self.workers
     }
 
     /// This worker's index.
@@ -331,37 +90,16 @@ impl ShardSpec {
         self.index
     }
 
-    /// The shared schedule.
-    pub fn plan(&self) -> &Arc<SchedulePlan> {
-        &self.plan
+    /// Does this worker own shadow shard `s`?
+    #[inline]
+    pub fn owns_shard(&self, s: usize) -> bool {
+        s % self.workers == self.index
     }
 
     /// The designated logger (worker 0) records the globally-replicated
     /// lockset base interns and snapshots the replicated sync state.
     pub fn is_logger(&self) -> bool {
         self.index == 0
-    }
-}
-
-/// One shard changing hands between workers at a plan boundary: the
-/// extracted shadow shard plus the contents of every lockset id its
-/// cells reference — ids are worker-local (each worker's intern table
-/// evolves independently), so the importer re-interns by contents and
-/// rewrites the cells.
-#[derive(Debug)]
-pub struct ShardHandoff {
-    /// The shard index.
-    pub(crate) shard: usize,
-    /// The shadow pages, moved wholesale.
-    pub(crate) payload: ExtractedShard,
-    /// Sender-local id → set contents, for every id in the payload.
-    pub(crate) locksets: Vec<(LocksetId, Vec<u64>)>,
-}
-
-impl ShardHandoff {
-    /// Which shard this handoff carries.
-    pub fn shard(&self) -> usize {
-        self.shard
     }
 }
 
@@ -556,13 +294,13 @@ pub struct TaggedLocksetOp {
 /// [`RaceDetector::new_worker`](crate::RaceDetector::new_worker).
 #[derive(Debug)]
 pub struct WorkerState {
-    /// Shard ownership (identity + schedule).
+    /// Shard ownership.
     pub spec: ShardSpec,
     /// Shared promotion seeds (empty for non-spin configurations).
     pub seeds: Arc<PromotionSeeds>,
-    /// The current phase's shard → worker assignment (kept flat so the
-    /// per-access ownership gate is one array index, not a plan lookup).
-    pub(crate) cur_assignment: [u8; NUM_SHARDS],
+    /// `owned[s]`: does this worker own shard `s`? Kept flat so the
+    /// per-access ownership gate is one array index, not a division.
+    pub(crate) owned: [bool; NUM_SHARDS],
     /// Stream index of the event currently being processed.
     pub(crate) cur_event: u64,
     /// Reports emitted so far by the current event.
@@ -577,13 +315,12 @@ pub struct WorkerState {
 }
 
 impl WorkerState {
-    /// Fresh worker bookkeeping, starting in phase 0.
+    /// Fresh worker bookkeeping.
     pub fn new(spec: ShardSpec, seeds: Arc<PromotionSeeds>) -> WorkerState {
-        let cur_assignment = *spec.plan().assignment(0);
         WorkerState {
             spec,
             seeds,
-            cur_assignment,
+            owned: std::array::from_fn(|s| spec.owns_shard(s)),
             cur_event: 0,
             cur_seq: 0,
             attempts: Vec::new(),
@@ -592,16 +329,10 @@ impl WorkerState {
         }
     }
 
-    /// Switch to `phase`'s shard assignment (called after the boundary's
-    /// handoffs have been exchanged).
-    pub(crate) fn enter_phase(&mut self, phase: usize) {
-        self.cur_assignment = *self.spec.plan().assignment(phase);
-    }
-
     /// Does this worker currently own `addr`'s shadow cell?
     #[inline]
     pub(crate) fn owns_addr(&self, addr: u64) -> bool {
-        self.cur_assignment[shard_of(addr)] as usize == self.spec.index()
+        self.owned[shard_of(addr)]
     }
 
     /// Append a lockset op tagged with the current event.
@@ -935,114 +666,14 @@ mod tests {
     #[test]
     fn static_plan_partitions_all_shards_modularly() {
         for workers in 1..=NUM_SHARDS {
-            let plan = SchedulePlan::static_plan(workers);
-            assert_eq!(plan.phases(), 1);
-            assert_eq!(plan.handoffs(), 0);
             for s in 0..NUM_SHARDS {
-                assert_eq!(plan.assignment(0)[s] as usize, s % workers);
+                let owners: Vec<usize> = (0..workers)
+                    .filter(|&i| ShardSpec::new(workers, i).owns_shard(s))
+                    .collect();
+                assert_eq!(owners, vec![s % workers], "shard {s} of {workers}");
             }
         }
-    }
-
-    #[test]
-    fn lpt_balances_a_skewed_histogram() {
-        // One dominant shard plus a tail: LPT must put the hot shard
-        // alone and spread the tail, bounding the makespan at the larger
-        // of the hot shard and an even split of the rest.
-        let hist: [u64; NUM_SHARDS] = [100, 10, 10, 10, 10, 10, 10, 10];
-        for workers in 2..=4 {
-            let a = lpt(&hist, workers);
-            let makespan = max_load(&hist, &a, workers);
-            assert_eq!(makespan, 100, "{workers} workers: {a:?}");
-            // Static modular assignment is strictly worse here: worker 0
-            // gets shard 0 plus every aligned tail shard.
-            let static_a = *SchedulePlan::static_plan(workers).assignment(0);
-            assert!(max_load(&hist, &static_a, workers) > makespan);
-        }
-    }
-
-    #[test]
-    fn lpt_is_deterministic_and_total() {
-        let hist: [u64; NUM_SHARDS] = [5, 5, 5, 5, 0, 0, 0, 3];
-        for workers in 1..=NUM_SHARDS {
-            let a = lpt(&hist, workers);
-            assert_eq!(a, lpt(&hist, workers), "pure function of the histogram");
-            for (s, &w) in a.iter().enumerate() {
-                assert!((w as usize) < workers, "shard {s} assigned in range");
-            }
-        }
-    }
-
-    #[test]
-    fn balanced_plan_on_a_stationary_stream_has_no_handoffs() {
-        // Same skew in every chunk: whole-stream LPT already fits each
-        // chunk, so hysteresis keeps the first assignment throughout.
-        let cfg = DetectorConfig::helgrind_lib(MsmMode::Short);
-        let mut events = vec![Event::Spawn {
-            parent: 0,
-            child: 1,
-            pc: pc(0),
-        }];
-        for round in 0..100u64 {
-            // Shard of addr is (addr >> 6) & 7; page stride is 64.
-            events.push(write(1, round % 2 * 64)); // shards 0 and 1 forever
-        }
-        let seeds = compute_promotion_seeds(cfg, &events);
-        let plan = SchedulePlan::balanced_chunked(cfg, &seeds, &events, 2, 10);
-        assert_eq!(plan.handoffs(), 0, "stationary stream: {plan:?}");
-        assert_eq!(plan.occupancy()[0], 50);
-        assert_eq!(plan.occupancy()[1], 50);
-    }
-
-    #[test]
-    fn balanced_plan_repacks_when_the_distribution_shifts() {
-        // Phase A: shard 0 dominates the whole stream (256 events), so
-        // whole-stream LPT gives worker 0 shard 0 alone and parks shards
-        // 2 and 3 together on worker 1. Phase B: only shards 2 and 3 are
-        // active, evenly — the carried packing is 2× worse than a fresh
-        // one on those chunks, which clears the 1.25× hysteresis and
-        // forces a planned handoff.
-        let cfg = DetectorConfig::helgrind_lib(MsmMode::Short);
-        let mut events = Vec::new();
-        for _ in 0..256 {
-            events.push(write(0, 0)); // shard 0
-        }
-        for _ in 0..64 {
-            events.push(write(0, 2 * 64)); // shard 2
-            events.push(write(0, 3 * 64)); // shard 3
-        }
-        let seeds = compute_promotion_seeds(cfg, &events);
-        let plan = SchedulePlan::balanced_chunked(cfg, &seeds, &events, 2, 64);
-        let initial = plan.assignment(0);
-        assert_eq!(
-            initial[2], initial[3],
-            "whole-stream LPT parks the tail shards together: {plan:?}"
-        );
-        assert!(plan.handoffs() > 0, "shifted stream must re-pack: {plan:?}");
-        assert!(
-            plan.transfers()
-                .iter()
-                .any(|t| t.shard == 2 || t.shard == 3),
-            "a tail shard moves: {plan:?}"
-        );
-        for t in &plan.transfers() {
-            assert!(t.from != t.to);
-            assert_eq!(
-                plan.assignment(t.boundary)[t.shard] as usize,
-                t.from,
-                "transfer matches the assignments"
-            );
-            assert_eq!(plan.assignment(t.boundary + 1)[t.shard] as usize, t.to);
-        }
-    }
-
-    #[test]
-    fn schedule_parses_and_prints() {
-        assert_eq!("static".parse::<Schedule>().unwrap(), Schedule::Static);
-        assert_eq!("balanced".parse::<Schedule>().unwrap(), Schedule::Balanced);
-        assert!("lpt".parse::<Schedule>().is_err());
-        assert_eq!(Schedule::default(), Schedule::Balanced);
-        assert_eq!(Schedule::Static.to_string(), "static");
+        assert_eq!(ShardSpec::new(64, 0).workers(), NUM_SHARDS, "width clamps");
     }
 
     #[test]
@@ -1155,7 +786,7 @@ mod tests {
                 .map(|a| (a.report.context(), 1u64))
                 .collect();
             WorkerFragment {
-                spec: ShardSpec::static_spec(2, index),
+                spec: ShardSpec::new(2, index),
                 attempts,
                 attempt_counts,
                 lockset_ops: Vec::new(),
@@ -1210,7 +841,7 @@ mod tests {
         let a = mk(0, 1);
         let b = mk(1, 5);
         let frag = WorkerFragment {
-            spec: ShardSpec::static_spec(1, 0),
+            spec: ShardSpec::new(1, 0),
             attempts: vec![a.clone(), b.clone()],
             attempt_counts: vec![(a.report.context(), 3), (b.report.context(), 3)]
                 .into_iter()
@@ -1251,7 +882,7 @@ mod tests {
             },
         ];
         let frag = WorkerFragment {
-            spec: ShardSpec::static_spec(1, 0),
+            spec: ShardSpec::new(1, 0),
             attempts: Vec::new(),
             attempt_counts: FxHashMap::default(),
             lockset_ops: ops,

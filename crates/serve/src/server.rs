@@ -15,7 +15,7 @@ use crate::outcome_json;
 use crate::wire::{
     read_request, wire_error, write_frame, DetectParams, FrameKind, WireError, PROTOCOL_VERSION,
 };
-use spinrace_core::{AnalyzeError, Budget, DetectRequest, Schedule, Tool};
+use spinrace_core::{AnalyzeError, Budget, DetectRequest, Tool};
 use spinrace_detector::MsmMode;
 use spinrace_tracefmt::ChunkedTraceReader;
 use std::io::{self, BufWriter, Read, Write};
@@ -461,9 +461,6 @@ fn session_body<R: Read + Send, W: Write>(
     let mut req = DetectRequest::tools(tools).budget(budget);
     if let Some(ms) = watchdog_ms {
         req = req.watchdog(Duration::from_millis(ms));
-    }
-    if params.schedule.as_deref() == Some("static") {
-        req = req.scheduled(Schedule::Static);
     }
 
     if params.workers == 0 {

@@ -152,8 +152,6 @@ pub struct DetectParams {
     /// incremental `V` frames; `N ≥ 1` materializes the stream and
     /// replays on the parallel engine.
     pub workers: usize,
-    /// `"static"` or `"balanced"` (the default).
-    pub schedule: Option<String>,
     /// Client-requested event ceiling (`None` = server default).
     pub max_events: Option<u64>,
     /// Client-requested shadow-byte ceiling (`None` = server default).
@@ -172,7 +170,6 @@ impl Default for DetectParams {
         DetectParams {
             tools: Vec::new(),
             workers: 0,
-            schedule: None,
             max_events: None,
             max_shadow_bytes: None,
             watchdog_ms: None,
@@ -205,12 +202,6 @@ impl DetectParams {
             p.workers = v["workers"]
                 .as_u64()
                 .ok_or("workers must be a non-negative integer")? as usize;
-        }
-        if let Some(s) = v["schedule"].as_str() {
-            if s != "static" && s != "balanced" {
-                return Err(format!("schedule must be static or balanced, got {s:?}"));
-            }
-            p.schedule = Some(s.to_string());
         }
         if !v["max_events"].is_null() {
             p.max_events = Some(
@@ -328,7 +319,6 @@ pub fn trace_error_code(e: &TraceError) -> &'static str {
 pub fn engine_error_code(e: &EngineError) -> &'static str {
     match e {
         EngineError::WorkerPanic { .. } => "worker-panic",
-        EngineError::HandoffTimeout { .. } => "handoff-timeout",
         EngineError::WorkerLost { .. } => "worker-lost",
         EngineError::Watchdog { .. } => "watchdog",
         EngineError::BudgetExhausted { .. } => "budget-exhausted",

@@ -1,19 +1,15 @@
 //! Fault-injection hardening of the parallel replay engine: every fault
-//! in the matrix {panic before/after handoff export, panic while a peer
-//! waits, delay past a watchdog, dropped handoff} × schedules × worker
+//! in the matrix {panic, delay past the watchdog, silent drop} × worker
 //! counts must come back as a structured [`EngineError`] within a
 //! bounded watchdog — never a hang, never a process abort — while
 //! fault-free runs (including runs with explicit engine options) stay
 //! byte-identical to sequential replay.
 
 use spinrace::core::parallel::{
-    try_run_sharded_opts, try_run_sharded_with_plan_opts, Budget, BudgetResource, EngineError,
-    EngineOptions, FaultKind, FaultPlan, Schedule,
+    try_run_sharded_opts, Budget, BudgetResource, EngineError, EngineOptions, FaultKind, FaultPlan,
 };
 use spinrace::core::{DetectRequest, Session, Tool};
-use spinrace::detector::{
-    compute_promotion_seeds, DetectorConfig, MsmMode, RaceDetector, SchedulePlan,
-};
+use spinrace::detector::{DetectorConfig, MsmMode, RaceDetector};
 use spinrace::vm::{Event, EventSink};
 use spinrace::workloads::{Family, WorkloadSpec};
 use std::sync::Arc;
@@ -23,10 +19,9 @@ use std::time::{Duration, Instant};
 /// means the cancellation/watchdog protocol regressed.
 const BOUND: Duration = Duration::from_secs(20);
 
-/// A raw stream whose hot shard moves mid-stream (same shape as the
-/// handoff test in `spinrace-core`): phase A hammers shard 0 with a lock
-/// held, phase B moves to shards 2 and 3. Chunked balanced planning over
-/// it schedules real shard handoffs — the seam the faults are aimed at.
+/// A raw stream over several shadow shards: a lock-held phase that
+/// hammers shard 0 (so shard cells carry lockset ids), then unlocked
+/// traffic on shards 2 and 3.
 fn shifted_stream() -> Vec<Event> {
     let pc = |n| spinrace::tir::Pc::new(spinrace::tir::FuncId(0), spinrace::tir::BlockId(0), n);
     let write = |tid: u32, addr: u64, at: u32| Event::Write {
@@ -71,137 +66,51 @@ fn cfg() -> DetectorConfig {
     DetectorConfig::helgrind_lib(MsmMode::Short)
 }
 
-/// A chunked balanced plan over the shifted stream with at least one
-/// handoff, plus the first scheduled transfer (boundary index, shard,
-/// exporting and importing worker).
-fn plan_with_handoff(events: &[Event]) -> (Arc<SchedulePlan>, spinrace::detector::ShardTransfer) {
-    let seeds = compute_promotion_seeds(cfg(), events);
-    let plan = SchedulePlan::balanced_chunked(cfg(), &seeds, events, 2, 64);
-    assert!(
-        plan.handoffs() > 0,
-        "the shifted stream must schedule a handoff, got {:?}",
-        plan.transfers()
-    );
-    let t = plan.transfers()[0];
-    (Arc::new(plan), t)
-}
-
-fn opts_with_fault(fault: FaultPlan, handoff_ms: u64) -> EngineOptions {
-    EngineOptions {
-        handoff_timeout: Duration::from_millis(handoff_ms),
-        fault: Some(fault),
-        ..EngineOptions::default()
-    }
-}
-
-#[test]
-fn panic_before_handoff_export_is_a_worker_panic() {
-    let events = shifted_stream();
-    let (plan, t) = plan_with_handoff(&events);
-    let boundary_event = plan.boundaries()[t.boundary];
-    // The fault fires at the boundary event, *before* the export runs.
-    let fault = FaultPlan {
-        worker: t.from,
-        at_event: boundary_event,
-        kind: FaultKind::Panic,
-    };
-    let t0 = Instant::now();
-    let err = try_run_sharded_with_plan_opts(cfg(), &events, plan, opts_with_fault(fault, 10_000))
-        .expect_err("injected panic must fail the replay");
-    assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
-    match err {
-        EngineError::WorkerPanic { worker, payload } => {
-            assert_eq!(worker, t.from);
-            assert!(payload.contains("injected fault"), "{payload}");
-        }
-        other => panic!("expected WorkerPanic, got {other}"),
-    }
-}
-
-#[test]
-fn panic_after_handoff_export_is_a_worker_panic() {
-    let events = shifted_stream();
-    let (plan, t) = plan_with_handoff(&events);
-    // One event past the boundary: the export already ran, the peer gets
-    // its handoff, and the exporter dies right after.
-    let fault = FaultPlan {
-        worker: t.from,
-        at_event: plan.boundaries()[t.boundary] + 1,
-        kind: FaultKind::Panic,
-    };
-    let t0 = Instant::now();
-    let err = try_run_sharded_with_plan_opts(cfg(), &events, plan, opts_with_fault(fault, 10_000))
-        .expect_err("injected panic must fail the replay");
-    assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
-    assert!(
-        matches!(err, EngineError::WorkerPanic { worker, .. } if worker == t.from),
-        "expected WorkerPanic from worker {}, got {err}",
-        t.from
-    );
-}
-
 #[test]
 fn panic_while_peer_waits_cancels_the_wait_promptly() {
-    let events = shifted_stream();
-    let (plan, t) = plan_with_handoff(&events);
-    let fault = FaultPlan {
-        worker: t.from,
-        at_event: plan.boundaries()[t.boundary],
-        kind: FaultKind::Panic,
+    // Worker 1 panics early in a long stream. Its peer must not finish
+    // its pass: the panic's cancellation stops it at its next periodic
+    // poll, and the first failure reported is the panic.
+    let spec = WorkloadSpec::new(Family::Zipf)
+        .threads(4)
+        .events_per_thread(50_000)
+        .seed(1);
+    let wl = spec.build();
+    let trace = Session::for_module(&wl.module)
+        .vm_config(spec.vm_config())
+        .prepare(Tool::HelgrindLib)
+        .unwrap()
+        .execute()
+        .unwrap()
+        .into_trace();
+    let opts = EngineOptions {
+        fault: Some(FaultPlan {
+            worker: 1,
+            at_event: 100,
+            kind: FaultKind::Panic,
+        }),
+        ..EngineOptions::default()
     };
-    // A generous handoff timeout: the peer must NOT ride it out — the
-    // panic's cancellation has to wake the wait long before 60 s.
     let t0 = Instant::now();
-    let err = try_run_sharded_with_plan_opts(cfg(), &events, plan, opts_with_fault(fault, 60_000))
+    let err = try_run_sharded_opts(cfg(), &trace.events, 2, opts)
         .expect_err("injected panic must fail the replay");
     let elapsed = t0.elapsed();
     assert!(
         elapsed < Duration::from_secs(10),
-        "peer sat out the handoff timeout instead of cancelling: {elapsed:?}"
+        "peer did not cancel promptly: {elapsed:?}"
     );
     assert!(
-        matches!(err, EngineError::WorkerPanic { .. }),
+        matches!(err, EngineError::WorkerPanic { worker: 1, .. }),
         "first failure must be the panic, got {err}"
     );
 }
 
 #[test]
-fn delay_past_the_handoff_timeout_is_a_handoff_timeout() {
-    let events = shifted_stream();
-    let (plan, t) = plan_with_handoff(&events);
-    // The exporter stalls 60 s at its boundary; the importer's 250 ms
-    // handoff watchdog must fire and cancel the stalled worker too.
-    let fault = FaultPlan {
-        worker: t.from,
-        at_event: plan.boundaries()[t.boundary],
-        kind: FaultKind::Delay(60_000),
-    };
-    let t0 = Instant::now();
-    let err = try_run_sharded_with_plan_opts(cfg(), &events, plan, opts_with_fault(fault, 250))
-        .expect_err("stalled handoff must fail the replay");
-    assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
-    match err {
-        EngineError::HandoffTimeout {
-            worker,
-            shard,
-            boundary,
-            waited_ms,
-        } => {
-            assert_eq!((worker, shard, boundary), (t.to, t.shard, t.boundary));
-            assert!(waited_ms >= 250, "reported wait {waited_ms} ms");
-        }
-        other => panic!("expected HandoffTimeout, got {other}"),
-    }
-}
-
-#[test]
 fn delay_past_the_global_watchdog_errors_even_without_handoffs() {
-    // Static schedules have no handoffs, so a stalled worker would
-    // otherwise just finish late; the global watchdog bounds the whole
-    // replay regardless of schedule.
+    // A stalled worker would otherwise just finish late; the global
+    // watchdog bounds the whole replay.
     let events = shifted_stream();
     let opts = EngineOptions {
-        schedule: Schedule::Static,
         watchdog: Some(Duration::from_millis(300)),
         fault: Some(FaultPlan {
             worker: 1,
@@ -221,41 +130,15 @@ fn delay_past_the_global_watchdog_errors_even_without_handoffs() {
 }
 
 #[test]
-fn dropped_handoff_times_out_the_waiting_peer() {
-    let events = shifted_stream();
-    let (plan, t) = plan_with_handoff(&events);
-    // The exporter dies silently before its boundary: no export, no
-    // recorded error. The importing peer's handoff watchdog is the only
-    // thing standing between that and a hang.
-    let fault = FaultPlan {
-        worker: t.from,
-        at_event: plan.boundaries()[t.boundary].saturating_sub(1),
-        kind: FaultKind::DropHandoff,
-    };
-    let t0 = Instant::now();
-    let err = try_run_sharded_with_plan_opts(cfg(), &events, plan, opts_with_fault(fault, 300))
-        .expect_err("dropped handoff must fail the replay");
-    assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
-    assert!(
-        matches!(
-            err,
-            EngineError::HandoffTimeout { .. } | EngineError::WorkerLost { .. }
-        ),
-        "expected HandoffTimeout or WorkerLost, got {err}"
-    );
-}
-
-#[test]
 fn dropped_worker_without_handoffs_is_reported_lost() {
-    // Static schedule: nobody waits on the dead worker, so the
-    // coordinator has to notice the missing fragment by itself.
+    // Nobody waits on the dead worker, so the coordinator has to notice
+    // the missing fragment by itself.
     let events = shifted_stream();
     let opts = EngineOptions {
-        schedule: Schedule::Static,
         fault: Some(FaultPlan {
             worker: 1,
             at_event: 50,
-            kind: FaultKind::DropHandoff,
+            kind: FaultKind::Drop,
         }),
         ..EngineOptions::default()
     };
@@ -269,42 +152,34 @@ fn dropped_worker_without_handoffs_is_reported_lost() {
     );
 }
 
-/// The CI acceptance matrix in miniature: 3 fault kinds × 2 schedules ×
-/// workers {2, 4, 8}, every combination a structured `Err` within the
-/// bound — zero hangs, zero aborts.
+/// The CI acceptance matrix in miniature: 3 fault kinds × workers
+/// {2, 4, 8}, every combination a structured `Err` within the bound —
+/// zero hangs, zero aborts.
 #[test]
 fn full_fault_matrix_always_errors_within_the_bound() {
     let events = shifted_stream();
-    for schedule in [Schedule::Static, Schedule::Balanced] {
-        for workers in [2usize, 4, 8] {
-            for kind in [
-                FaultKind::Panic,
-                FaultKind::Delay(60_000),
-                FaultKind::DropHandoff,
-            ] {
-                let opts = EngineOptions {
-                    schedule,
-                    handoff_timeout: Duration::from_millis(400),
-                    watchdog: Some(Duration::from_millis(800)),
-                    fault: Some(FaultPlan {
-                        worker: 1,
-                        at_event: 100,
-                        kind,
-                    }),
-                    ..EngineOptions::default()
-                };
-                let t0 = Instant::now();
-                let res = try_run_sharded_opts(cfg(), &events, workers, opts);
-                let elapsed = t0.elapsed();
-                assert!(
-                    res.is_err(),
-                    "{kind:?} × {schedule} × {workers} workers completed successfully"
-                );
-                assert!(
-                    elapsed < BOUND,
-                    "{kind:?} × {schedule} × {workers} workers took {elapsed:?}"
-                );
-            }
+    for workers in [2usize, 4, 8] {
+        for kind in [FaultKind::Panic, FaultKind::Delay(60_000), FaultKind::Drop] {
+            let opts = EngineOptions {
+                watchdog: Some(Duration::from_millis(800)),
+                fault: Some(FaultPlan {
+                    worker: 1,
+                    at_event: 100,
+                    kind,
+                }),
+                ..EngineOptions::default()
+            };
+            let t0 = Instant::now();
+            let res = try_run_sharded_opts(cfg(), &events, workers, opts);
+            let elapsed = t0.elapsed();
+            assert!(
+                res.is_err(),
+                "{kind:?} × {workers} workers completed successfully"
+            );
+            assert!(
+                elapsed < BOUND,
+                "{kind:?} × {workers} workers took {elapsed:?}"
+            );
         }
     }
 }
@@ -348,28 +223,25 @@ fn fault_free_runs_with_explicit_options_stay_byte_identical() {
     for ev in &events {
         seq.on_event(ev);
     }
-    for schedule in [Schedule::Static, Schedule::Balanced] {
-        for workers in [1usize, 2, 4, 8] {
-            // A generous watchdog and a huge budget are *set* (exercising
-            // the polling paths) but never trip.
-            let opts = EngineOptions {
-                schedule,
-                watchdog: Some(Duration::from_secs(120)),
-                budget: Budget {
-                    max_events: Some(1 << 40),
-                    max_shadow_bytes: Some(1 << 40),
-                },
-                ..EngineOptions::default()
-            };
-            let merged = try_run_sharded_opts(cfg(), &events, workers, opts).unwrap();
-            assert_eq!(
-                merged.reports.reports(),
-                seq.reports().reports(),
-                "{schedule} × {workers}"
-            );
-            assert_eq!(merged.reports.contexts(), seq.racy_contexts());
-            assert_eq!(merged.promoted_locations, seq.promoted_locations());
-        }
+    for workers in [1usize, 2, 4, 8] {
+        // A generous watchdog and a huge budget are *set* (exercising
+        // the polling paths) but never trip.
+        let opts = EngineOptions {
+            watchdog: Some(Duration::from_secs(120)),
+            budget: Budget {
+                max_events: Some(1 << 40),
+                max_shadow_bytes: Some(1 << 40),
+            },
+            ..EngineOptions::default()
+        };
+        let merged = try_run_sharded_opts(cfg(), &events, workers, opts).unwrap();
+        assert_eq!(
+            merged.reports.reports(),
+            seq.reports().reports(),
+            "{workers} workers"
+        );
+        assert_eq!(merged.reports.contexts(), seq.racy_contexts());
+        assert_eq!(merged.promoted_locations, seq.promoted_locations());
     }
 }
 

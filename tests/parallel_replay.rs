@@ -1,17 +1,15 @@
 //! Differential proptest for parallel sharded replay: for random small
-//! modules, every tool in the paper lineup, every worker count, and both
-//! scheduling modes (occupancy-balanced LPT and static modular
-//! ownership), the parallel replay of a recorded trace must be
-//! **bit-identical** to the sequential replay *and* to the live run —
-//! same racy contexts, same described report lists (content and order),
-//! same detector metrics, same promotion counts. This is the determinism
-//! guarantee the CI `replay-determinism` job re-checks end-to-end
-//! through the `trace` CLI, and the property that lets harnesses pick a
-//! worker count (and the scheduler pick shard owners) from the machine
-//! without perturbing a single table number.
+//! modules, every tool in the paper lineup, and every worker count, the
+//! parallel replay of a recorded trace must be **bit-identical** to the
+//! sequential replay *and* to the live run — same racy contexts, same
+//! described report lists (content and order), same detector metrics,
+//! same promotion counts. This is the determinism guarantee the CI
+//! `replay-determinism` job re-checks end-to-end through the `trace`
+//! CLI, and the property that lets harnesses pick a worker count from
+//! the machine without perturbing a single table number.
 
 use proptest::prelude::*;
-use spinrace::core::{Analyzer, DetectRequest, Schedule, Session, Tool};
+use spinrace::core::{Analyzer, DetectRequest, Session, Tool};
 use spinrace::detector::{shard_of, NUM_SHARDS};
 use spinrace::tir::{Module, ModuleBuilder};
 use spinrace::workloads::{Family, WorkloadSpec};
@@ -153,23 +151,6 @@ proptest! {
                 prop_assert_eq!(&par.tool_label, &label);
             }
 
-            // The static schedule must land on the same bytes as the
-            // balanced default (a ragged and a full-shard width suffice —
-            // the schedules only differ in shard→worker placement).
-            for workers in [3usize, 4] {
-                let par = run
-                    .run(&DetectRequest::own().parallel(workers).scheduled(Schedule::Static))
-                    .into_single();
-                prop_assert_eq!(
-                    par.contexts, sequential.contexts,
-                    "static contexts under {} at {} workers", &label, workers
-                );
-                prop_assert_eq!(
-                    &par.metrics, &sequential.metrics,
-                    "static metrics under {} at {} workers", &label, workers
-                );
-            }
-
             // The cross-tool request path too: lib and DRD share one
             // prepared module, so a lib recording can replay as DRD.
             if tool == Tool::HelgrindLib {
@@ -183,7 +164,7 @@ proptest! {
 }
 
 /// Replay a generated workload under one tool and check every worker
-/// width × schedule against the sequential replay *and* the live run
+/// width against the sequential replay *and* the live run
 /// (full outcome equality), returning the sequential outcome for further
 /// assertions. One teed execution provides both the live detection and
 /// the replayable trace.
@@ -201,29 +182,21 @@ fn workload_widths_equal_sequential(
     let sequential = run.run(&DetectRequest::own()).into_single();
     assert_eq!(sequential.contexts, live.contexts, "sequential vs live");
     assert_eq!(sequential.metrics, live.metrics, "sequential vs live");
-    for schedule in [Schedule::Balanced, Schedule::Static] {
-        for workers in [1usize, 2, 3, 4, 8] {
-            let par = run
-                .run(&DetectRequest::own().parallel(workers).scheduled(schedule))
-                .into_single();
-            assert_eq!(
-                par.contexts, sequential.contexts,
-                "{workers} workers, {schedule}"
-            );
-            assert_eq!(par.reports.len(), sequential.reports.len());
-            for (a, b) in par.reports.iter().zip(&sequential.reports) {
-                assert_eq!(a.location, b.location, "{workers} workers, {schedule}");
-                assert_eq!(a.report, b.report, "{workers} workers, {schedule}");
-            }
-            assert_eq!(
-                par.metrics, sequential.metrics,
-                "{workers} workers, {schedule}"
-            );
-            assert_eq!(
-                par.promoted_locations, sequential.promoted_locations,
-                "{workers} workers, {schedule}"
-            );
+    for workers in [1usize, 2, 3, 4, 8] {
+        let par = run
+            .run(&DetectRequest::own().parallel(workers))
+            .into_single();
+        assert_eq!(par.contexts, sequential.contexts, "{workers} workers");
+        assert_eq!(par.reports.len(), sequential.reports.len());
+        for (a, b) in par.reports.iter().zip(&sequential.reports) {
+            assert_eq!(a.location, b.location, "{workers} workers");
+            assert_eq!(a.report, b.report, "{workers} workers");
         }
+        assert_eq!(par.metrics, sequential.metrics, "{workers} workers");
+        assert_eq!(
+            par.promoted_locations, sequential.promoted_locations,
+            "{workers} workers"
+        );
     }
     let events = run.trace().events.clone();
     (sequential, events)
@@ -250,11 +223,9 @@ fn shard_histogram(events: &[spinrace::vm::Event]) -> [u64; NUM_SHARDS] {
 ///
 /// The histogram assertion below documents that the skewed stream really
 /// is lopsided (the hottest shard carries more than twice an even share)
-/// — the imbalance the occupancy-balanced scheduler spreads across
-/// workers where static modular ownership cannot. The helper holds both
-/// schedules to bit-identical results at every width, so the scheduler's
-/// load-balance freedom is provably invisible in the output; only the
-/// wall-clock characteristics may differ between modes.
+/// — the imbalance static modular ownership leaves on one worker. The
+/// helper holds every width to bit-identical results, so the imbalance
+/// can only show in wall-clock time, never in the output.
 #[test]
 fn zipf_skew_is_deterministic_across_widths_despite_shard_imbalance() {
     let spec = WorkloadSpec::new(Family::Zipf)
@@ -272,9 +243,7 @@ fn zipf_skew_is_deterministic_across_widths_despite_shard_imbalance() {
     assert!(total > 0);
     // With 8 shards an even split gives every shard 1/8 of the traffic;
     // skew 3 concentrates indices so hard that the hottest shard owns
-    // more than 2/8. This is the imbalance static ownership cannot
-    // spread and the balanced LPT plan packs around — the measured
-    // motivation for the occupancy-aware scheduler.
+    // more than 2/8 — the imbalance static ownership cannot spread.
     assert!(
         max as f64 > 2.0 * total as f64 / NUM_SHARDS as f64,
         "expected a skewed shard histogram, got {hist:?}"
@@ -299,13 +268,12 @@ fn zipf_skew_is_deterministic_across_widths_despite_shard_imbalance() {
     );
 }
 
-/// The stealing-mode sweep the scheduler was built for: zipf streams at
-/// every skew level that concentrates traffic (2, 3, 4 — progressively
-/// hotter single shards), two tools, both schedules, workers 1–8, each
-/// held to sequential ≡ live with full metrics. The balanced plan packs
-/// these skewed histograms differently at every width; none of it may
-/// move a byte of output. Seeded variants inject real races so the
-/// report merge path is exercised, not just clean streams.
+/// Zipf streams at every skew level that concentrates traffic (2, 3, 4 —
+/// progressively hotter single shards), each under its own seeded VM
+/// schedule, two tools, workers 1–8, each held to sequential ≡ live
+/// with full metrics. Seeded variants inject
+/// real races so the report merge path is exercised, not just clean
+/// streams.
 #[test]
 fn zipf_skew_family_is_identical_across_schedules_tools_and_widths() {
     for skew in [2u32, 3, 4] {

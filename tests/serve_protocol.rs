@@ -250,6 +250,39 @@ fn sync_preserving_sessions_are_byte_stable_and_refuse_parallel() {
     handle.shutdown();
 }
 
+/// A parallel predictive session is refused with `unsupported` before
+/// its event budget is considered — alone or fanned out with an HB tool
+/// — so the wire code does not depend on the number of tools.
+#[test]
+fn parallel_predictive_refusal_precedes_the_event_budget() {
+    let (_, trace) = recorded();
+    let bytes = encode_trace_chunked(&trace, 16);
+    let handle = serve(
+        "127.0.0.1:0",
+        ServeOptions {
+            cores: 4,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.addr().to_string();
+    for tools in [vec!["sync-preserving"], vec!["sync-preserving", "lib"]] {
+        let body = serde_json::json!({
+            "tools": tools.clone(),
+            "workers": 2u64,
+            "max_events": 1u64,
+        });
+        let out = run_client(&addr, &body, &bytes).unwrap();
+        let err = out.error.expect("parallel predictive must be refused");
+        assert_eq!(err.code, "unsupported", "tools={tools:?}");
+        assert!(
+            err.partial.is_none(),
+            "a refusal carries no partial metrics"
+        );
+    }
+    handle.shutdown();
+}
+
 /// A session input that yields some prefix, then panics — the worst
 /// failure shape a session body can produce.
 struct PanicAfterPrefix {

@@ -3,8 +3,7 @@
 //! paper lineup plus the predictive `SyncPreserving` pass, for **every**
 //! detection path — live (detector attached to the VM run), sequential
 //! trace replay, streamed chunked replay, and (for the HB tools)
-//! parallel sharded replay at 1/2/4/8 workers under the occupancy-
-//! balanced scheduler plus a static-ownership cross-check.
+//! parallel sharded replay at 1/2/4/8 workers.
 //!
 //! This turns the tool lineup from "matches recorded numbers" into
 //! "sound and complete on known ground truth": race-free families must
@@ -18,7 +17,7 @@
 //! `EngineError::Unsupported`, never a silent sequential fallback.
 
 use proptest::prelude::*;
-use spinrace::core::{AnalysisOutcome, DetectRequest, EngineError, Schedule, Session, Tool};
+use spinrace::core::{AnalysisOutcome, DetectRequest, EngineError, Session, Tool};
 use spinrace::suites::judge_outcome;
 use spinrace::tracefmt::{encode_trace_chunked, ChunkedTraceReader, DEFAULT_CHUNK_EVENTS};
 use spinrace::workloads::{Family, Workload, WorkloadSpec};
@@ -63,7 +62,6 @@ fn check_spec(spec: WorkloadSpec) -> Result<(), TestCaseError> {
         let sequential = run.run(&DetectRequest::own()).into_single();
         assert_oracle(&wl, &sequential, "sequential replay")?;
         for workers in [1usize, 2, 4, 8] {
-            // The default path is the occupancy-balanced scheduler …
             let par = run
                 .run(&DetectRequest::own().parallel(workers))
                 .into_single();
@@ -73,12 +71,6 @@ fn check_spec(spec: WorkloadSpec) -> Result<(), TestCaseError> {
             prop_assert_eq!(&par.metrics, &sequential.metrics);
             prop_assert_eq!(par.reports.len(), sequential.reports.len());
         }
-        // … and static modular ownership must land on the same bytes.
-        let stat = run
-            .run(&DetectRequest::own().parallel(4).scheduled(Schedule::Static))
-            .into_single();
-        assert_oracle(&wl, &stat, "parallel x4 static")?;
-        prop_assert_eq!(&stat.metrics, &sequential.metrics);
     }
     check_predictive(&wl, &session)
 }
