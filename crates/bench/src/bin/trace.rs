@@ -851,7 +851,8 @@ fn inspect(args: &[String]) -> i32 {
             // that is read — inspecting a multi-gigabyte trace is cheap.
             let mut reader = open_stream(path);
             println!(
-                "format:      binary ({} chunk(s) of ≤{} events, {file_bytes} bytes)",
+                "format:      binary v{} ({} chunk(s) of ≤{} events, {file_bytes} bytes)",
+                reader.binary_version(),
                 reader.chunk_count(),
                 reader.chunk_target()
             );

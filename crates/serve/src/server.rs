@@ -357,10 +357,10 @@ pub fn handle_session<R: Read + Send, W: Write>(
 
 /// The session input stream, remembering whether any read failed with a
 /// socket timeout. The `io::ErrorKind` is erased long before a stalled
-/// upload surfaces as a session error (a timeout during the trace magic
-/// read even reports as `TraceError::Magic`), so the transport records
-/// the fact at the source and the session maps the final error to the
-/// stable `timeout` wire code.
+/// upload surfaces as a session error (a timeout in the request line
+/// reads as a bad request, one in the trace as `TraceError::Io` text),
+/// so the transport records the fact at the source and the session maps
+/// the final error to the stable `timeout` wire code.
 struct TimeoutFlagged<R> {
     inner: R,
     timed_out: bool,

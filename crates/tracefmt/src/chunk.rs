@@ -19,7 +19,7 @@
 //! chunk independently decodable — the property the streaming reader and
 //! per-chunk corruption detection are built on.
 
-use crate::varint::{get_uvarint, put_uvarint, unzigzag, zigzag};
+use crate::varint::{put_uvarint, read_uvarint, unzigzag, zigzag, VarintError};
 use fxhash::FxHashMap;
 use spinrace_tir::{BlockId, FuncId, MemOrder, Pc, SpinLoopId};
 use spinrace_vm::{Event, TraceError};
@@ -86,14 +86,14 @@ fn order_to_u8(o: MemOrder) -> u8 {
     }
 }
 
-fn order_from_u8(b: u8) -> Result<MemOrder, TraceError> {
+fn order_from_u8(b: u8) -> Result<MemOrder, ColError> {
     Ok(match b {
         0 => MemOrder::Relaxed,
         1 => MemOrder::Acquire,
         2 => MemOrder::Release,
         3 => MemOrder::AcqRel,
         4 => MemOrder::SeqCst,
-        _ => return Err(TraceError::Corrupt(format!("invalid memory order {b}"))),
+        _ => return Err(ColError::Order(b)),
     })
 }
 
@@ -429,8 +429,103 @@ pub fn encode_chunk(events: &[Event], out: &mut Vec<u8>) {
         put_uvarint(out, col.len() as u64);
         out.extend_from_slice(col);
     }
-    let sum = crate::fnv1a(&out[start..]);
+    let sum = crate::lane_checksum(&out[start..]);
     out.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// Why a chunk's columns failed to decode. `Copy` and two words wide,
+/// so the per-event loop passes it in registers instead of building a
+/// `String` on every fallible step; its `From` conversion renders the
+/// `TraceError::Corrupt` text once, on the way out.
+#[derive(Clone, Copy, Debug)]
+enum ColError {
+    Varint(VarintError),
+    ColumnExhausted,
+    Order(u8),
+    Tid(i64),
+    PcDictTooLarge,
+    PcFunc,
+    PcBlock,
+    PcIdx,
+    PcDictTrailing,
+    StackDictTooLarge,
+    StackDictTrailing,
+    SpinReadOverrun,
+    UnknownTag {
+        tag: u8,
+        pos: usize,
+    },
+    FlagBits {
+        tag: u8,
+        pos: usize,
+    },
+    PcIndex(usize),
+    StackIndex(usize),
+    SpinId,
+    SpinReadCount,
+    /// Leftover bytes in the column [`CURSOR_NAMES`] names.
+    Trailing(u8),
+}
+
+const _: () = assert!(std::mem::size_of::<Result<u64, ColError>>() <= 16);
+
+/// Names of the per-event cursors, in the order the trailing-bytes check
+/// walks them.
+const CURSOR_NAMES: [&str; 13] = [
+    "tid",
+    "aux-tid",
+    "object",
+    "second object",
+    "value",
+    "second value",
+    "pc index",
+    "stack index",
+    "order",
+    "spin",
+    "generation",
+    "spin-read address",
+    "spin-read",
+];
+
+impl From<VarintError> for ColError {
+    #[inline]
+    fn from(e: VarintError) -> Self {
+        ColError::Varint(e)
+    }
+}
+
+impl From<ColError> for TraceError {
+    #[cold]
+    fn from(e: ColError) -> Self {
+        let msg = match e {
+            ColError::Varint(v) => return v.into(),
+            ColError::ColumnExhausted => "column exhausted".into(),
+            ColError::Order(b) => format!("invalid memory order {b}"),
+            ColError::Tid(v) => format!("thread id {v} out of range"),
+            ColError::PcDictTooLarge => "pc dictionary larger than chunk".into(),
+            ColError::PcFunc => "pc func out of range".into(),
+            ColError::PcBlock => "pc block out of range".into(),
+            ColError::PcIdx => "pc idx out of range".into(),
+            ColError::PcDictTrailing => "trailing bytes in pc dictionary".into(),
+            ColError::StackDictTooLarge => "stack dictionary larger than chunk".into(),
+            ColError::StackDictTrailing => "trailing bytes in stack dictionary".into(),
+            ColError::SpinReadOverrun => "spin-read address block overruns its column".into(),
+            ColError::UnknownTag { tag, pos } => {
+                format!("unknown event tag {tag} at chunk offset {pos}")
+            }
+            ColError::FlagBits { tag, pos } => {
+                format!("flag bits on event tag {tag} at chunk offset {pos}")
+            }
+            ColError::PcIndex(i) => format!("pc dictionary index {i} out of range"),
+            ColError::StackIndex(i) => format!("stack dictionary index {i} out of range"),
+            ColError::SpinId => "spin id out of range".into(),
+            ColError::SpinReadCount => "implausible spin-read count".into(),
+            ColError::Trailing(c) => {
+                format!("trailing bytes in {} column", CURSOR_NAMES[usize::from(c)])
+            }
+        };
+        TraceError::Corrupt(msg)
+    }
 }
 
 /// A read cursor over one column's byte block.
@@ -450,30 +545,39 @@ impl<'a> Cur<'a> {
     }
 
     #[inline]
-    fn uvarint(&mut self) -> Result<u64, TraceError> {
-        get_uvarint(self.buf, &mut self.pos)
+    fn uvarint(&mut self) -> Result<u64, ColError> {
+        Ok(read_uvarint(self.buf, &mut self.pos)?)
     }
 
     #[inline]
-    fn ivarint(&mut self) -> Result<i64, TraceError> {
+    fn ivarint(&mut self) -> Result<i64, ColError> {
         Ok(unzigzag(self.uvarint()?))
     }
 
     /// Next value of a zigzag-delta column.
     #[inline]
-    fn delta(&mut self) -> Result<i64, TraceError> {
+    fn delta(&mut self) -> Result<i64, ColError> {
         let d = self.ivarint()?;
         self.last = self.last.wrapping_add(d);
         Ok(self.last)
     }
 
     #[inline]
-    fn byte(&mut self) -> Result<u8, TraceError> {
+    fn byte(&mut self) -> Result<u8, ColError> {
         let Some(&b) = self.buf.get(self.pos) else {
-            return Err(TraceError::Corrupt("column exhausted".into()));
+            return Err(ColError::ColumnExhausted);
         };
         self.pos += 1;
         Ok(b)
+    }
+
+    /// Next value of a spin-id column.
+    #[inline]
+    fn spin_id(&mut self) -> Result<SpinLoopId, ColError> {
+        let v = self.uvarint()?;
+        u32::try_from(v)
+            .map(SpinLoopId)
+            .map_err(|_| ColError::SpinId)
     }
 
     fn finished(&self) -> bool {
@@ -481,8 +585,9 @@ impl<'a> Cur<'a> {
     }
 }
 
-fn tid_u32(v: i64) -> Result<u32, TraceError> {
-    u32::try_from(v).map_err(|_| TraceError::Corrupt(format!("thread id {v} out of range")))
+#[inline]
+fn tid_u32(v: i64) -> Result<u32, ColError> {
+    u32::try_from(v).map_err(|_| ColError::Tid(v))
 }
 
 /// Decode one chunk's column blocks (everything between the column-count
@@ -500,14 +605,21 @@ pub fn decode_chunk_columns(
             cols[COL_KIND].len()
         )));
     }
+    decode_columns(n, cols, out).map_err(TraceError::from)
+}
 
+/// [`decode_chunk_columns`] past the kind-length check, with the
+/// register-sized error.
+fn decode_columns(
+    n: usize,
+    cols: &[&[u8]; NUM_COLUMNS],
+    out: &mut Vec<Event>,
+) -> Result<(), ColError> {
     // Dictionaries first: both index columns resolve against them.
     let mut pcd = Cur::new(cols[COL_PC_DICT]);
     let pc_count = pcd.uvarint()?;
     if pc_count > n as u64 * 2 + 16 {
-        return Err(TraceError::Corrupt(
-            "pc dictionary larger than chunk".into(),
-        ));
+        return Err(ColError::PcDictTooLarge);
     }
     let mut pc_entries: Vec<Pc> = Vec::with_capacity(pc_count as usize);
     let (mut lf, mut lb, mut li) = (0i64, 0i64, 0i64);
@@ -516,24 +628,20 @@ pub fn decode_chunk_columns(
         lb = lb.wrapping_add(pcd.ivarint()?);
         li = li.wrapping_add(pcd.ivarint()?);
         let (f, b, i) = (
-            u32::try_from(lf).map_err(|_| TraceError::Corrupt("pc func out of range".into()))?,
-            u32::try_from(lb).map_err(|_| TraceError::Corrupt("pc block out of range".into()))?,
-            u32::try_from(li).map_err(|_| TraceError::Corrupt("pc idx out of range".into()))?,
+            u32::try_from(lf).map_err(|_| ColError::PcFunc)?,
+            u32::try_from(lb).map_err(|_| ColError::PcBlock)?,
+            u32::try_from(li).map_err(|_| ColError::PcIdx)?,
         );
         pc_entries.push(Pc::new(FuncId(f), BlockId(b), i));
     }
     if !pcd.finished() {
-        return Err(TraceError::Corrupt(
-            "trailing bytes in pc dictionary".into(),
-        ));
+        return Err(ColError::PcDictTrailing);
     }
 
     let mut std_ = Cur::new(cols[COL_STACK_DICT]);
     let stack_count = std_.uvarint()?;
     if stack_count > n as u64 + 16 {
-        return Err(TraceError::Corrupt(
-            "stack dictionary larger than chunk".into(),
-        ));
+        return Err(ColError::StackDictTooLarge);
     }
     let mut stack_entries: Vec<u64> = Vec::with_capacity(stack_count as usize);
     let mut last = 0i64;
@@ -542,9 +650,7 @@ pub fn decode_chunk_columns(
         stack_entries.push(last as u64);
     }
     if !std_.finished() {
-        return Err(TraceError::Corrupt(
-            "trailing bytes in stack dictionary".into(),
-        ));
+        return Err(ColError::StackDictTrailing);
     }
 
     // The spin-reads block carries its address sub-column inline.
@@ -552,9 +658,7 @@ pub fn decode_chunk_columns(
     let sr_addr_len = sr.uvarint()? as usize;
     let rest = &cols[COL_SPIN_READS][sr.pos..];
     if sr_addr_len > rest.len() {
-        return Err(TraceError::Corrupt(
-            "spin-read address block overruns its column".into(),
-        ));
+        return Err(ColError::SpinReadOverrun);
     }
     let mut sr_addr = Cur::new(&rest[..sr_addr_len]);
     let mut sr_meta = Cur::new(&rest[sr_addr_len..]);
@@ -571,19 +675,13 @@ pub fn decode_chunk_columns(
     let mut spin_col = Cur::new(cols[COL_SPIN]);
     let mut gen_col = Cur::new(cols[COL_GEN]);
 
-    let next_pc = |c: &mut Cur| -> Result<Pc, TraceError> {
+    let next_pc = |c: &mut Cur| -> Result<Pc, ColError> {
         let i = c.uvarint()? as usize;
-        pc_entries
-            .get(i)
-            .copied()
-            .ok_or_else(|| TraceError::Corrupt(format!("pc dictionary index {i} out of range")))
+        pc_entries.get(i).copied().ok_or(ColError::PcIndex(i))
     };
-    let next_stack = |c: &mut Cur| -> Result<u64, TraceError> {
+    let next_stack = |c: &mut Cur| -> Result<u64, ColError> {
         let i = c.uvarint()? as usize;
-        stack_entries
-            .get(i)
-            .copied()
-            .ok_or_else(|| TraceError::Corrupt(format!("stack dictionary index {i} out of range")))
+        stack_entries.get(i).copied().ok_or(ColError::StackIndex(i))
     };
 
     out.reserve(n);
@@ -592,16 +690,12 @@ pub fn decode_chunk_columns(
         let atomic_flag = kind & FLAG_ATOMIC != 0;
         let spin_flag = kind & FLAG_SPIN != 0;
         if tag > TAG_MAX {
-            return Err(TraceError::Corrupt(format!(
-                "unknown event tag {tag} at chunk offset {pos}"
-            )));
+            return Err(ColError::UnknownTag { tag, pos });
         }
         // Flags are only meaningful on data accesses; anywhere else they
         // mean the byte was damaged in a way the checksum missed.
         if (atomic_flag && !matches!(tag, TAG_READ | TAG_WRITE)) || (spin_flag && tag != TAG_READ) {
-            return Err(TraceError::Corrupt(format!(
-                "flag bits on event tag {tag} at chunk offset {pos}"
-            )));
+            return Err(ColError::FlagBits { tag, pos });
         }
         let t = tid_u32(tid.delta()?)?;
         let ev = match tag {
@@ -628,9 +722,7 @@ pub fn decode_chunk_columns(
                     None
                 },
                 spin: if spin_flag {
-                    Some(SpinLoopId(u32::try_from(spin_col.uvarint()?).map_err(
-                        |_| TraceError::Corrupt("spin id out of range".into()),
-                    )?))
+                    Some(spin_col.spin_id()?)
                 } else {
                     None
                 },
@@ -711,19 +803,13 @@ pub fn decode_chunk_columns(
             },
             TAG_SPIN_ENTER => Event::SpinEnter {
                 tid: t,
-                spin: SpinLoopId(
-                    u32::try_from(spin_col.uvarint()?)
-                        .map_err(|_| TraceError::Corrupt("spin id out of range".into()))?,
-                ),
+                spin: spin_col.spin_id()?,
             },
             TAG_SPIN_EXIT => {
-                let spin = SpinLoopId(
-                    u32::try_from(spin_col.uvarint()?)
-                        .map_err(|_| TraceError::Corrupt("spin id out of range".into()))?,
-                );
+                let spin = spin_col.spin_id()?;
                 let count = sr_meta.uvarint()?;
                 if count > 1 << 20 {
-                    return Err(TraceError::Corrupt("implausible spin-read count".into()));
+                    return Err(ColError::SpinReadCount);
                 }
                 let mut reads = Vec::with_capacity(count as usize);
                 for _ in 0..count {
@@ -751,26 +837,11 @@ pub fn decode_chunk_columns(
     // shape — corruption the checksum may have missed only if the file
     // was rewritten wholesale.
     let cursors = [
-        (&tid, "tid"),
-        (&aux_tid, "aux-tid"),
-        (&obj, "object"),
-        (&obj2, "second object"),
-        (&value, "value"),
-        (&value2, "second value"),
-        (&pc_idx, "pc index"),
-        (&stack_idx, "stack index"),
-        (&order_col, "order"),
-        (&spin_col, "spin"),
-        (&gen_col, "generation"),
-        (&sr_addr, "spin-read address"),
-        (&sr_meta, "spin-read"),
+        &tid, &aux_tid, &obj, &obj2, &value, &value2, &pc_idx, &stack_idx, &order_col, &spin_col,
+        &gen_col, &sr_addr, &sr_meta,
     ];
-    for (cur, name) in cursors {
-        if !cur.finished() {
-            return Err(TraceError::Corrupt(format!(
-                "trailing bytes in {name} column"
-            )));
-        }
+    match cursors.iter().position(|c| !c.finished()) {
+        Some(c) => Err(ColError::Trailing(c as u8)),
+        None => Ok(()),
     }
-    Ok(())
 }

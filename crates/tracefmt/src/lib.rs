@@ -11,15 +11,22 @@
 //! | magic "SPINRTRC" | binary version (u32 LE)                      |
 //! | header JSON  (varint len + bytes)   <- TraceHeader, verbatim    |
 //! | summary JSON (varint len + bytes)   <- RunSummary, verbatim     |
-//! | chunk count (u32 LE) | chunk target (u32 LE) | FNV-1a (u64 LE)  |
+//! | chunk count (u32 LE) | chunk target (u32 LE) | checksum (u64 LE)|
 //! +-----------------------------------------------------------------+
 //! | chunk 0: event count (u32 LE) | column count (varint)           |
 //! |          column 0 .. 14: varint length + block bytes            |
-//! |          FNV-1a checksum over the framed chunk (u64 LE)         |
+//! |          checksum over the framed chunk (u64 LE)                |
 //! +-----------------------------------------------------------------+
 //! | chunk 1 ... chunk N-1   (same framing, fresh codec state each)  |
 //! +-----------------------------------------------------------------+
 //! ```
+//!
+//! The binary version picks the checksum; nothing else differs between
+//! versions. Version 2 (the only one written) uses [`lane_checksum`],
+//! four independent multiply lanes over little-endian 8-byte words.
+//! Version 1 used [`fnv1a`], one multiply per byte in a single
+//! dependency chain, and is still read so traces already on disk keep
+//! working.
 //!
 //! Design choices, and why:
 //!
@@ -29,7 +36,7 @@
 //!   byte. Program counters and call-chain hashes repeat heavily → a
 //!   per-chunk dictionary plus varint indices.
 //! * **Fixed-target-size chunks** (default 64k events): every chunk
-//!   carries its own column lengths and an FNV-1a checksum and resets
+//!   carries its own column lengths and a checksum and resets
 //!   all codec state, so chunks decode independently. That enables the
 //!   streaming reader (decode one chunk ahead of the detector, O(chunk)
 //!   peak memory) and localizes corruption detection to a single chunk.
@@ -58,17 +65,23 @@ use std::path::Path;
 /// First eight bytes of every binary trace file.
 pub const MAGIC: [u8; 8] = *b"SPINRTRC";
 
-/// Version of the binary container (framing + column codecs). Bumped
-/// independently of the logical trace version embedded in the header.
-pub const BINARY_FORMAT_VERSION: u32 = 1;
+/// Version of the binary container (framing + column codecs + checksum)
+/// this build writes. Bumped independently of the logical trace version
+/// embedded in the header.
+pub const BINARY_FORMAT_VERSION: u32 = 2;
+
+/// The one older binary version the reader still accepts: the same
+/// framing and codecs, checksummed with [`fnv1a`].
+pub(crate) const BINARY_FORMAT_V1: u32 = 1;
 
 /// Default target events per chunk. 64k events keeps a decoded chunk in
 /// the few-megabyte range — small enough for O(chunk) streaming, large
 /// enough that per-chunk dictionaries and framing amortize to noise.
 pub const DEFAULT_CHUNK_EVENTS: usize = 65_536;
 
-/// FNV-1a 64-bit, the per-block checksum. Not cryptographic — it guards
-/// against truncation and bit rot, not adversaries.
+/// FNV-1a 64-bit, the per-block checksum of binary version 1. Not
+/// cryptographic — it guards against truncation and bit rot, not
+/// adversaries.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -76,6 +89,75 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// Odd multiplier of the lane step: multiplying by an odd constant is a
+/// bijection on `u64`.
+const LANE_K: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Starting state of the four lanes (distinct, so equal words in
+/// different lanes do not cancel).
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// One lane step. For a fixed word it is a bijection of the lane state,
+/// and for a fixed state a bijection of the word.
+#[inline(always)]
+fn lane_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(LANE_K).rotate_left(29)
+}
+
+/// The per-block checksum of binary version 2.
+///
+/// Word `i` of every 32-byte block feeds lane `i`, so four multiply
+/// chains run side by side instead of FNV-1a's one chain per byte. The
+/// leftover whole words feed the first lanes, then the lanes, the
+/// zero-padded tail bytes and the total length are folded into one
+/// value and finished with the `fmix64` avalanche. Every step is a
+/// bijection in each of its inputs, so a change confined to one 8-byte
+/// word (any single-bit or single-byte flip included) always changes
+/// the sum. Like [`fnv1a`], it guards against truncation and bit rot,
+/// not adversaries.
+pub fn lane_checksum(bytes: &[u8]) -> u64 {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte word"));
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = lane_step(*lane, word(&block[8 * i..8 * i + 8]));
+        }
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for (lane, w) in lanes.iter_mut().zip(&mut words) {
+        *lane = lane_step(*lane, word(w));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+
+    let mut h = lanes[0];
+    for lane in &lanes[1..] {
+        h = lane_step(h, *lane);
+    }
+    h = lane_step(h, u64::from_le_bytes(tail));
+    h = lane_step(h, bytes.len() as u64);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The block checksum a stream of binary version `version` carries, or
+/// `None` for a version this build cannot read.
+pub(crate) fn checksum_for(version: u32) -> Option<fn(&[u8]) -> u64> {
+    match version {
+        BINARY_FORMAT_VERSION => Some(lane_checksum),
+        BINARY_FORMAT_V1 => Some(fnv1a),
+        _ => None,
+    }
 }
 
 /// The two on-disk trace encodings.
@@ -141,7 +223,7 @@ pub fn encode_trace_chunked(trace: &Trace, chunk_events: usize) -> Vec<u8> {
     out.extend_from_slice(summary_json.as_bytes());
     out.extend_from_slice(&chunk_count.to_le_bytes());
     out.extend_from_slice(&(chunk_events.min(u32::MAX as usize) as u32).to_le_bytes());
-    let sum = fnv1a(&out);
+    let sum = lane_checksum(&out);
     out.extend_from_slice(&sum.to_le_bytes());
 
     for chunk in trace.events.chunks(chunk_events) {
@@ -327,5 +409,90 @@ mod tests {
             decode_trace(truncated),
             Err(TraceError::ChunkCount { .. })
         ));
+    }
+
+    #[test]
+    fn lane_checksum_known_answers_are_pinned() {
+        // The v2 checksum is part of the on-disk format: these values
+        // must never change, or every v2 file already written breaks.
+        let ramp: Vec<u8> = (0..=99u8).collect();
+        assert_eq!(lane_checksum(b""), 0xc968_b3af_e148_b9d0);
+        assert_eq!(lane_checksum(&ramp), 0xc8c1_2cf3_e2eb_3d0f);
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_a_structured_error() {
+        let m = handoff();
+        let trace = record_run(&m, VmConfig::random(5), "flips").unwrap();
+        let good = encode_trace_chunked(&trace, 4);
+        assert!(ChunkedTraceReader::new(&good[..]).unwrap().chunk_count() > 1);
+        let mut bad = good.clone();
+        for pos in 0..good.len() {
+            for bit in 0..8 {
+                bad[pos] ^= 1 << bit;
+                assert!(
+                    decode_trace(&bad).is_err(),
+                    "flip of bit {bit} at byte {pos} decoded"
+                );
+                bad[pos] ^= 1 << bit;
+            }
+        }
+    }
+
+    /// A source whose every read fails with a non-EOF error.
+    struct Failing;
+
+    impl std::io::Read for Failing {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("connection reset"))
+        }
+    }
+
+    #[test]
+    fn magic_read_failures_are_io_errors_and_short_input_is_magic() {
+        assert!(matches!(
+            ChunkedTraceReader::new(Failing),
+            Err(TraceError::Io(m)) if m.contains("connection reset")
+        ));
+        assert!(matches!(
+            ChunkedTraceReader::new(&b""[..]),
+            Err(TraceError::Magic)
+        ));
+        assert!(matches!(
+            ChunkedTraceReader::new(&b"SPINR"[..]),
+            Err(TraceError::Magic)
+        ));
+    }
+
+    #[test]
+    fn the_reader_reports_the_declared_binary_version() {
+        let m = handoff();
+        let trace = record_run(&m, VmConfig::round_robin(), "v").unwrap();
+        let bytes = encode_trace(&trace);
+        let reader = ChunkedTraceReader::new(&bytes[..]).unwrap();
+        assert_eq!(reader.binary_version(), BINARY_FORMAT_VERSION);
+    }
+
+    proptest::proptest! {
+        /// Changing any one aligned 8-byte word (or the bytes of the
+        /// partial tail word) of a buffer always changes the checksum:
+        /// each lane step is a bijection for a fixed word.
+        #[test]
+        fn changing_one_word_changes_the_lane_checksum(
+            buf in proptest::collection::vec(0u8..=0xff, 1..300),
+            word in 0usize..64,
+            mask in 1u64..=u64::MAX,
+        ) {
+            let word = word % buf.len().div_ceil(8);
+            let mut changed = buf.clone();
+            for (b, m) in changed[8 * word..].iter_mut().zip(mask.to_le_bytes()) {
+                *b ^= m;
+            }
+            if changed == buf {
+                // The mask's nonzero bytes all fell past a short tail.
+                return Ok(());
+            }
+            proptest::prop_assert_ne!(lane_checksum(&changed), lane_checksum(&buf));
+        }
     }
 }

@@ -10,7 +10,8 @@
 //! stays bounded by two chunks — O(chunk), not O(trace).
 
 use crate::chunk::{decode_chunk_columns, NUM_COLUMNS};
-use crate::{fnv1a, BINARY_FORMAT_VERSION, MAGIC};
+use crate::varint::VarintError;
+use crate::{checksum_for, BINARY_FORMAT_VERSION, MAGIC};
 use spinrace_vm::{
     Event, EventSink, RunSummary, Trace, TraceError, TraceHeader, TRACE_FORMAT_VERSION,
 };
@@ -58,6 +59,9 @@ pub fn chunk_mem(events: &[Event]) -> usize {
 /// Streaming decoder for the binary trace format over any byte source.
 pub struct ChunkedTraceReader<R: io::Read> {
     src: R,
+    /// Binary version the stream declares; it picks `checksum`.
+    version: u32,
+    checksum: fn(&[u8]) -> u64,
     header: TraceHeader,
     summary: RunSummary,
     chunk_count: u32,
@@ -82,7 +86,7 @@ fn stream_uvarint<R: io::Read>(src: &mut R, raw: &mut Vec<u8>) -> Result<u64, Tr
         src.read_exact(&mut b).map_err(map_eof_truncated)?;
         raw.push(b[0]);
         if shift == 63 && b[0] > 1 {
-            return Err(TraceError::Corrupt("overlong varint".into()));
+            return Err(VarintError::Overlong.into());
         }
         v |= u64::from(b[0] & 0x7f) << shift;
         if b[0] & 0x80 == 0 {
@@ -90,13 +94,13 @@ fn stream_uvarint<R: io::Read>(src: &mut R, raw: &mut Vec<u8>) -> Result<u64, Tr
             // final byte after a continuation is a longer-than-needed
             // encoding the writer never emits.
             if b[0] == 0 && shift > 0 {
-                return Err(TraceError::Corrupt("non-canonical varint".into()));
+                return Err(VarintError::NonCanonical.into());
             }
             return Ok(v);
         }
         shift += 7;
         if shift > 63 {
-            return Err(TraceError::Corrupt("overlong varint".into()));
+            return Err(VarintError::Overlong.into());
         }
     }
 }
@@ -129,12 +133,21 @@ impl<R: io::Read> ChunkedTraceReader<R> {
     ///
     /// Validation order is magic → binary version → embedded header
     /// (trace version) → checksum, so the caller always gets the most
-    /// specific error the damaged prefix allows.
+    /// specific error the damaged prefix allows. Input too short to hold
+    /// the magic is [`TraceError::Magic`]; any other read failure is
+    /// [`TraceError::Io`], since it says nothing about the content.
+    ///
+    /// Both binary versions are accepted: the version the stream
+    /// declares selects its checksum, [`crate::lane_checksum`] for
+    /// version 2 and [`crate::fnv1a`] for version 1.
     pub fn new(mut src: R) -> Result<Self, TraceError> {
         let mut raw: Vec<u8> = Vec::with_capacity(256);
 
         let mut magic = [0u8; 8];
-        src.read_exact(&mut magic).map_err(|_| TraceError::Magic)?;
+        src.read_exact(&mut magic).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => TraceError::Magic,
+            _ => TraceError::Io(e.to_string()),
+        })?;
         if magic != MAGIC {
             return Err(TraceError::Magic);
         }
@@ -143,13 +156,11 @@ impl<R: io::Read> ChunkedTraceReader<R> {
         let mut ver = [0u8; 4];
         src.read_exact(&mut ver).map_err(map_eof_truncated)?;
         raw.extend_from_slice(&ver);
-        let found = u32::from_le_bytes(ver);
-        if found != BINARY_FORMAT_VERSION {
-            return Err(TraceError::Version {
-                found,
-                supported: BINARY_FORMAT_VERSION,
-            });
-        }
+        let version = u32::from_le_bytes(ver);
+        let checksum = checksum_for(version).ok_or(TraceError::Version {
+            found: version,
+            supported: BINARY_FORMAT_VERSION,
+        })?;
 
         let header_len = stream_uvarint(&mut src, &mut raw)?;
         if header_len > MAX_JSON_BLOCK {
@@ -179,7 +190,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
 
         let mut sum = [0u8; 8];
         src.read_exact(&mut sum).map_err(map_eof_truncated)?;
-        if u64::from_le_bytes(sum) != fnv1a(&raw) {
+        if u64::from_le_bytes(sum) != checksum(&raw) {
             return Err(TraceError::Corrupt("header block checksum mismatch".into()));
         }
 
@@ -200,6 +211,8 @@ impl<R: io::Read> ChunkedTraceReader<R> {
 
         Ok(ChunkedTraceReader {
             src,
+            version,
+            checksum,
             header,
             summary,
             chunk_count,
@@ -209,6 +222,11 @@ impl<R: io::Read> ChunkedTraceReader<R> {
             done: false,
             raw,
         })
+    }
+
+    /// Binary format version the stream declares (validated at open).
+    pub fn binary_version(&self) -> u32 {
+        self.version
     }
 
     /// The embedded trace header (validated at open).
@@ -331,7 +349,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
 
         let mut sum = [0u8; 8];
         self.src.read_exact(&mut sum).map_err(map_eof_truncated)?;
-        if u64::from_le_bytes(sum) != fnv1a(raw) {
+        if u64::from_le_bytes(sum) != (self.checksum)(raw) {
             return Err(TraceError::Checksum {
                 chunk: self.chunks_read,
             });

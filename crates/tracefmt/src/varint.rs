@@ -23,10 +23,44 @@ pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     buf.push(v as u8);
 }
 
+/// Why a varint failed to decode. `Copy` and one byte wide, so hot
+/// decode loops carry it in a register; it becomes a
+/// [`TraceError::Corrupt`] only on the way out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum VarintError {
+    /// The buffer ended inside the varint.
+    Truncated,
+    /// More than 64 bits of payload.
+    Overlong,
+    /// A zero final byte after a continuation: the value has a shorter
+    /// encoding.
+    NonCanonical,
+}
+
+impl From<VarintError> for TraceError {
+    fn from(e: VarintError) -> Self {
+        TraceError::Corrupt(
+            match e {
+                VarintError::Truncated => "truncated varint",
+                VarintError::Overlong => "overlong varint",
+                VarintError::NonCanonical => "non-canonical varint",
+            }
+            .into(),
+        )
+    }
+}
+
 /// Decode an unsigned LEB128 varint from `buf` at `*pos`, advancing
 /// `*pos` past it.
 #[inline]
 pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
+    read_uvarint(buf, pos).map_err(TraceError::from)
+}
+
+/// The varint decoder behind [`get_uvarint`], with a register-sized
+/// error for the column decoder's per-event loop.
+#[inline]
+pub(crate) fn read_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
     // Fast path: with delta coding most column values are a single
     // byte, so peel that case off before the general loop.
     if let Some(&b) = buf.get(*pos) {
@@ -35,21 +69,21 @@ pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
             return Ok(u64::from(b));
         }
     }
-    get_uvarint_multi(buf, pos)
+    read_uvarint_multi(buf, pos)
 }
 
 /// The general multi-byte (or truncated/overlong) case of
-/// [`get_uvarint`].
-fn get_uvarint_multi(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
+/// [`read_uvarint`].
+fn read_uvarint_multi(buf: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
         let Some(&b) = buf.get(*pos) else {
-            return Err(TraceError::Corrupt("truncated varint".into()));
+            return Err(VarintError::Truncated);
         };
         *pos += 1;
         if shift == 63 && b > 1 {
-            return Err(TraceError::Corrupt("overlong varint".into()));
+            return Err(VarintError::Overlong);
         }
         v |= u64::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
@@ -57,13 +91,13 @@ fn get_uvarint_multi(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
             // same value has a shorter encoding, which the writer always
             // produces. Only `0x00` at shift 0 (the value zero) is valid.
             if b == 0 && shift > 0 {
-                return Err(TraceError::Corrupt("non-canonical varint".into()));
+                return Err(VarintError::NonCanonical);
             }
             return Ok(v);
         }
         shift += 7;
         if shift > 63 {
-            return Err(TraceError::Corrupt("overlong varint".into()));
+            return Err(VarintError::Overlong);
         }
     }
 }

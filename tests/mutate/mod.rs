@@ -73,3 +73,38 @@ pub fn header_counts_offsets(bytes: &[u8]) -> (usize, usize) {
     pos += summary_len as usize;
     (pos, pos + 8)
 }
+
+/// Where one framed chunk sits in an encoded file: its first byte, the
+/// `(offset, len)` of each column block, and the offset of its trailing
+/// checksum (the chunk's framed bytes are `start..checksum`).
+pub struct ChunkFrame {
+    pub start: usize,
+    pub cols: Vec<(usize, usize)>,
+    pub checksum: usize,
+}
+
+/// Walk every chunk of an encoded file (trusted input, as for [`leb`]).
+pub fn chunk_frames(bytes: &[u8]) -> Vec<ChunkFrame> {
+    let (_, header_checksum) = header_counts_offsets(bytes);
+    let mut pos = header_checksum + 8;
+    let mut frames = Vec::new();
+    while pos < bytes.len() {
+        let start = pos;
+        pos += 4; // event count
+        let ncols = leb(bytes, &mut pos);
+        let cols = (0..ncols)
+            .map(|_| {
+                let len = leb(bytes, &mut pos) as usize;
+                pos += len;
+                (pos - len, len)
+            })
+            .collect();
+        frames.push(ChunkFrame {
+            start,
+            cols,
+            checksum: pos,
+        });
+        pos += 8;
+    }
+    frames
+}

@@ -8,7 +8,9 @@ use spinrace::vm::Trace;
 use spinrace::workloads::{Family, WorkloadSpec};
 
 mod mutate;
-use mutate::{base_binary, base_json, decode_rejects, header_counts_offsets, recorded};
+use mutate::{
+    base_binary, base_json, chunk_frames, decode_rejects, header_counts_offsets, recorded,
+};
 
 #[test]
 fn garbage_and_truncated_documents_are_json_errors() {
@@ -197,7 +199,8 @@ proptest! {
 // ---- binary (columnar) format negative paths ----
 
 use spinrace::tracefmt::{
-    decode_trace, encode_trace_chunked, fnv1a, load_trace_bytes, BINARY_FORMAT_VERSION, MAGIC,
+    decode_trace, encode_trace_chunked, lane_checksum, load_trace_bytes, BINARY_FORMAT_VERSION,
+    MAGIC,
 };
 
 #[test]
@@ -279,7 +282,7 @@ fn header_chunk_count_mismatch_is_detected() {
     let total_chunks = u32::from_le_bytes(bytes[counts_pos..][..4].try_into().unwrap());
     let mut bad = bytes.to_vec();
     bad[counts_pos..counts_pos + 4].copy_from_slice(&(total_chunks + 1).to_le_bytes());
-    let sum = fnv1a(&bad[..checksum_pos]);
+    let sum = lane_checksum(&bad[..checksum_pos]);
     bad[checksum_pos..checksum_pos + 8].copy_from_slice(&sum.to_le_bytes());
     match decode_trace(&bad) {
         Err(TraceError::ChunkCount { header, actual }) => {
@@ -451,5 +454,161 @@ proptest! {
             prop_assert_eq!(streamed_verdict(prepared, &bad), whole, "flip at {}", pos);
             bad[pos] ^= flip;
         }
+    }
+}
+
+// ---- the column decoder's own checks, past the checksum ----
+
+/// Decode `bytes` through the two-buffer streamed pipeline, collecting
+/// every event — the streamed twin of `decode_trace(bytes).events`.
+fn streamed_events(bytes: &[u8]) -> Result<Vec<Event>, TraceError> {
+    let mut events = Vec::new();
+    ChunkedTraceReader::new(bytes)?.for_each_chunk(|c| {
+        events.extend_from_slice(c);
+        Ok::<_, TraceError>(())
+    })?;
+    Ok(events)
+}
+
+/// Flip `flip` into the column byte `offset` (counted over all column
+/// blocks of chunk `chunk`) and re-fix that chunk's checksum, so the
+/// damage reaches the column decoder instead of stopping at the sum.
+fn corrupt_columns(bytes: &[u8], chunk: usize, offset: usize, flip: u8) -> Vec<u8> {
+    let frames = chunk_frames(bytes);
+    let frame = &frames[chunk % frames.len()];
+    let data: Vec<usize> = frame
+        .cols
+        .iter()
+        .flat_map(|&(at, len)| at..at + len)
+        .collect();
+    let mut bad = bytes.to_vec();
+    bad[data[offset % data.len()]] ^= flip;
+    let sum = lane_checksum(&bad[frame.start..frame.checksum]);
+    bad[frame.checksum..frame.checksum + 8].copy_from_slice(&sum.to_le_bytes());
+    bad
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Column bytes damaged behind a valid checksum decode cleanly or
+    /// fail with a structured error — never a panic — and streamed and
+    /// in-memory decode agree on which, event for event.
+    #[test]
+    fn checksum_fixed_column_corruption_is_structured(
+        chunk in 0usize..64,
+        offset in 0usize..1 << 16,
+        flip in 1u8..=255,
+    ) {
+        let (_, trace) = spin_recorded();
+        let bad = corrupt_columns(&encode_trace_chunked(trace, 5), chunk, offset, flip);
+        let whole = decode_trace(&bad).map(|t| t.events);
+        prop_assert_eq!(streamed_events(&bad), whole);
+    }
+}
+
+#[test]
+fn checksum_fixed_column_corruption_reaches_the_decoder_checks() {
+    // Sweep every column byte of the first chunk: with the checksum
+    // re-fixed, the column decoder itself must reject some flips.
+    let bytes = base_binary();
+    let total: usize = chunk_frames(bytes)[0].cols.iter().map(|c| c.1).sum();
+    let rejected = (0..total)
+        .filter(|&at| {
+            matches!(
+                decode_trace(&corrupt_columns(bytes, 0, at, 0xff)),
+                Err(TraceError::Corrupt(_))
+            )
+        })
+        .count();
+    assert!(rejected > 0, "no column flip reached a decoder check");
+}
+
+/// A file whose header block is the base trace's and whose first chunk
+/// holds one event built from `patch`ed columns, framed and checksummed
+/// as the writer would.
+fn hand_built(patch: &[(usize, &[u8])]) -> Vec<u8> {
+    // kind, tid, aux-tid, obj, obj2, value, value2, pc dict (one entry),
+    // pc idx, stack dict (one entry), stack idx, order, spin, gen, spin
+    // reads (empty address sub-column): a clean `ThreadEnd` by default.
+    let mut cols: [&[u8]; 15] = [
+        &[2],
+        &[0],
+        &[],
+        &[],
+        &[],
+        &[],
+        &[],
+        &[1, 0, 0, 0],
+        &[],
+        &[1, 0],
+        &[],
+        &[],
+        &[],
+        &[],
+        &[0],
+    ];
+    for &(i, col) in patch {
+        cols[i] = col;
+    }
+    let bytes = base_binary();
+    let (_, header_checksum) = header_counts_offsets(bytes);
+    let mut out = bytes[..header_checksum + 8].to_vec();
+    let start = out.len();
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.push(cols.len() as u8);
+    for col in cols {
+        out.push(col.len() as u8);
+        out.extend_from_slice(col);
+    }
+    let sum = lane_checksum(&out[start..]);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+#[test]
+fn column_decoder_errors_keep_their_exact_messages() {
+    const KIND: usize = 0;
+    const TID: usize = 1;
+    const AUX_TID: usize = 2;
+    const OBJ: usize = 3;
+    const VALUE: usize = 5;
+    const PC_IDX: usize = 8;
+    const STACK_IDX: usize = 10;
+    let spawn: &[(usize, &[u8])] = &[(KIND, &[0]), (AUX_TID, &[2])];
+    let read: &[(usize, &[u8])] = &[(KIND, &[3]), (OBJ, &[2]), (VALUE, &[0]), (PC_IDX, &[0])];
+    type Patch<'a> = Vec<(usize, &'a [u8])>;
+    let cases: Vec<(Patch, &str)> = vec![
+        (
+            vec![(KIND, &[0x1f])],
+            "unknown event tag 31 at chunk offset 0",
+        ),
+        (
+            vec![(KIND, &[0x20])],
+            "flag bits on event tag 0 at chunk offset 0",
+        ),
+        (
+            [spawn, &[(PC_IDX, &[5])]].concat(),
+            "pc dictionary index 5 out of range",
+        ),
+        (
+            [read, &[(STACK_IDX, &[3])]].concat(),
+            "stack dictionary index 3 out of range",
+        ),
+        (vec![(TID, &[0x80, 0x00])], "non-canonical varint"),
+        (vec![(TID, &[0, 0])], "trailing bytes in tid column"),
+        (vec![(VALUE, &[0])], "trailing bytes in value column"),
+    ];
+    // The clean baseline decodes up to the chunk count the header
+    // claims, so each case's error is its column's, not the framing's.
+    assert!(matches!(
+        decode_trace(&hand_built(&[])),
+        Err(TraceError::ChunkCount { actual: 1, .. })
+    ));
+    for (patch, want) in cases {
+        let bytes = hand_built(&patch);
+        let expected = Err(TraceError::Corrupt(want.to_string()));
+        assert_eq!(decode_trace(&bytes).map(drop), expected, "{want}");
+        assert_eq!(streamed_events(&bytes).map(drop), expected, "{want}");
     }
 }

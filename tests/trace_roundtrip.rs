@@ -12,7 +12,8 @@
 //! all fire), decoded back to an identical trace, and replayed through
 //! the chunked streaming reader — which must produce the live result
 //! too. A separate case pins json → binary → json as a byte fixed
-//! point.
+//! point, and a committed binary-version-1 fixture pins that files
+//! written before the version-2 checksum still decode.
 
 use proptest::prelude::*;
 use spinrace::core::{Analyzer, DetectRequest, ExecutedRun, Session, Tool};
@@ -208,4 +209,59 @@ proptest! {
             .map_err(|e| TestCaseError(format!("binary decode failed: {e}")))?;
         prop_assert_eq!(decoded.to_json(), json);
     }
+}
+
+// ---- binary version 1: files written before the lane checksum ----
+
+mod mutate;
+use mutate::{chunk_frames, header_counts_offsets};
+use spinrace::tracefmt::{encode_trace, MAGIC};
+use spinrace::vm::Event;
+
+/// A `trace gen --family spinflag` run written by a build whose binary
+/// format was version 1 (FNV-1a checksums), and the same run in JSON.
+const V1_SPTRACE: &[u8] = include_bytes!("data/v1-spinflag.sptrace");
+const V1_JSON: &str = include_str!("data/v1-spinflag.trace.json");
+
+#[test]
+fn binary_v1_fixture_decodes_to_its_json_twin() {
+    let twin = Trace::from_json(V1_JSON).unwrap();
+    let reader = ChunkedTraceReader::new(V1_SPTRACE).unwrap();
+    assert_eq!(reader.binary_version(), 1);
+    assert_eq!(decode_trace(V1_SPTRACE).unwrap(), twin);
+
+    let mut streamed: Vec<Event> = Vec::new();
+    ChunkedTraceReader::new(V1_SPTRACE)
+        .unwrap()
+        .for_each_chunk(|c| {
+            streamed.extend_from_slice(c);
+            Ok::<_, spinrace::vm::trace::TraceError>(())
+        })
+        .unwrap();
+    assert_eq!(streamed, twin.events);
+}
+
+#[test]
+fn reencoding_the_v1_fixture_changes_only_version_and_checksums() {
+    let again = encode_trace(&decode_trace(V1_SPTRACE).unwrap());
+    assert_eq!(again.len(), V1_SPTRACE.len());
+    let version = MAGIC.len()..MAGIC.len() + 4;
+    assert_eq!(&V1_SPTRACE[version.clone()], &1u32.to_le_bytes());
+    assert_eq!(&again[version.clone()], &2u32.to_le_bytes());
+    let (_, header_sum) = header_counts_offsets(V1_SPTRACE);
+    let sums: Vec<std::ops::Range<usize>> = std::iter::once(header_sum)
+        .chain(chunk_frames(V1_SPTRACE).iter().map(|f| f.checksum))
+        .map(|at| at..at + 8)
+        .collect();
+    let differs = |r: &std::ops::Range<usize>| V1_SPTRACE[r.clone()] != again[r.clone()];
+    assert!(sums.iter().all(differs), "every checksum is recomputed");
+    let mut masked = (V1_SPTRACE.to_vec(), again.clone());
+    for r in sums.iter().chain([&version]) {
+        masked.0[r.clone()].fill(0);
+        masked.1[r.clone()].fill(0);
+    }
+    assert!(
+        masked.0 == masked.1,
+        "bytes outside version and checksums differ"
+    );
 }
