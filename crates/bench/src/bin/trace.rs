@@ -37,19 +37,20 @@
 //! `spinrace-tracefmt` (magic `SPINRTRC`) or the JSON debug format.
 //! `record` and `gen` write binary by default — `--format json`, or an
 //! `--out` path ending in `.json`, selects JSON. `convert` rewrites a
-//! trace in the other encoding (or an explicit `--format`). A
-//! **sequential** `replay` of a binary trace streams it chunk-by-chunk
+//! trace in the other encoding (or an explicit `--format`). A `replay`
+//! of a binary trace on fewer than 2 workers streams it chunk-by-chunk
 //! through the detector (decode one chunk ahead; peak memory O(chunk),
-//! detection starts before the file is fully read); parallel replay and
-//! JSON input decode the full stream first. The detection outcome is
-//! identical in all cases.
+//! detection starts before the file is fully read); parallel replay,
+//! JSON input and a trace whose module cannot be rebuilt decode the
+//! full stream first. The detection outcome is identical in all cases.
 //!
-//! `replay --fault` injects a deterministic fault into one pool worker
-//! (see `spinrace_core::parallel::FaultPlan`); `--watchdog` bounds the
-//! whole replay, `--max-events`/`--max-shadow-bytes` set resource
-//! budgets (`0` disables each). Any of these turns an engine failure
-//! into a one-line structured error and exit code 1 — never a hang or
-//! an abort.
+//! `--watchdog` bounds the whole replay and `--max-events` /
+//! `--max-shadow-bytes` set resource budgets (`0` disables each) in
+//! every mode, streamed included. `replay --fault` injects a
+//! deterministic fault into one pool worker (see
+//! `spinrace_core::parallel::FaultPlan`) and so needs `--workers 2` or
+//! more. Any of these turns a failure into a one-line structured error
+//! and exit code 1 — never a hang or an abort.
 //!
 //! `gen` records a trace of a *generated* workload
 //! (`spinrace-workloads`): a parameterized program with computable
@@ -86,7 +87,7 @@
 //! file, which the CI `serve-smoke` job checks.
 
 use spinrace_core::{
-    AnalysisOutcome, Budget, DetectRequest, EngineOptions, FaultPlan, Session, Tool,
+    AnalysisOutcome, Budget, DetectRequest, EngineOptions, FaultPlan, PreparedModule, Session, Tool,
 };
 use spinrace_detector::MsmMode;
 use spinrace_detector::{shard_occupancy, NUM_SHARDS};
@@ -486,8 +487,8 @@ fn replay(args: &[String]) -> i32 {
         MsmMode::Short
     };
     let cap: usize = num_opt(args, "--cap", 1000);
-    // `--workers 0` (the default) replays sequentially; any other count
-    // goes through the parallel sharded engine — same results either way.
+    // `--workers` 0 (the default) or 1 replays sequentially; 2 or more go
+    // through the parallel sharded engine — same results either way.
     let workers: usize = num_opt(args, "--workers", 0);
     let fault: Option<FaultPlan> = match opt(args, "--fault") {
         None => None,
@@ -507,13 +508,6 @@ fn replay(args: &[String]) -> i32 {
         eprintln!("error: --fault injects into a pool worker; pass --workers 2 or more");
         return 2;
     }
-    if (watchdog_ms > 0 || max_events > 0 || max_shadow > 0) && workers == 0 {
-        eprintln!(
-            "error: --watchdog/--max-events/--max-shadow-bytes take the engine path; \
-             pass --workers (1 for a budgeted sequential replay)"
-        );
-        return 2;
-    }
     let opts = EngineOptions {
         watchdog: (watchdog_ms > 0).then(|| Duration::from_millis(watchdog_ms)),
         budget: Budget {
@@ -523,21 +517,23 @@ fn replay(args: &[String]) -> i32 {
         fault,
     };
 
-    // Sequential replay of a binary trace streams it chunk-by-chunk —
+    // A binary trace on fewer than 2 workers streams chunk by chunk —
     // O(chunk) peak memory, detection overlapped with decoding, same
-    // outcome. The parallel engine shards over a full event slice, and
-    // JSON has no chunk framing, so both take the full-decode path.
-    if format == TraceFormat::Binary && workers == 0 {
-        return replay_streamed(args, path, msm, cap);
+    // outcome and budgets. The parallel engine shards over a full event
+    // slice, JSON has no chunk framing, and a module that cannot be
+    // rebuilt has nothing to stream into: those decode the full stream.
+    if format == TraceFormat::Binary && workers < 2 {
+        let reader = open_stream(path);
+        let Some(tool) = replay_tool(args, &reader.header().tool_label) else {
+            return 2;
+        };
+        if let Some(prepared) = prepared_for_replay(reader.header(), tool, msm, cap) {
+            return replay_streamed(args, path, tool, &prepared, reader, opts);
+        }
     }
     let trace = load(path);
-    let tool = match opt(args, "--tool") {
-        Some(s) => parse_tool(&s),
-        None if trace.header.tool_label.is_empty() => {
-            eprintln!("error: trace has no recorded tool label; pass --tool");
-            return 2;
-        }
-        None => parse_tool(&trace.header.tool_label),
+    let Some(tool) = replay_tool(args, &trace.header.tool_label) else {
+        return 2;
     };
 
     // Rebuild a prepared module the trace matches, so reports resolve to
@@ -547,14 +543,16 @@ fn replay(args: &[String]) -> i32 {
     // tool (e.g. lib and drd share the unmodified module). Otherwise fall
     // back to the recording tool's preparation and say plainly that the
     // results describe the recorded stream, not a live run of `tool`.
+    let mode = if workers > 1 {
+        format!("{workers} worker(s)")
+    } else {
+        "sequential".to_string()
+    };
     match rebuild_run(&trace, tool, msm, cap) {
         Some(run) => {
             let t0 = Instant::now();
-            let req = if workers > 0 {
-                DetectRequest::tool(tool).parallel(workers).options(opts)
-            } else {
-                DetectRequest::tool(tool).sequential()
-            };
+            // At most one worker is one sequential pass.
+            let req = DetectRequest::tool(tool).parallel(workers).options(opts);
             let out = match run.try_run(&req) {
                 Ok(o) => o.into_single(),
                 Err(e) => {
@@ -563,11 +561,6 @@ fn replay(args: &[String]) -> i32 {
                 }
             };
             let secs = t0.elapsed().as_secs_f64();
-            let mode = if workers > 0 {
-                format!("{workers} worker(s)")
-            } else {
-                "sequential".to_string()
-            };
             println!(
                 "replayed {} events under {} [{mode}]: {} racy context(s), {} promoted \
                  location(s) ({:.2} M ev/s, detector only)",
@@ -577,15 +570,7 @@ fn replay(args: &[String]) -> i32 {
                 out.promoted_locations,
                 trace.events.len() as f64 / secs.max(1e-9) / 1e6,
             );
-            for r in out.reports.iter().take(10) {
-                println!(
-                    "  {:?} race on {} (t{} vs t{})",
-                    r.report.kind, r.location, r.report.prior.tid, r.report.current.tid
-                );
-            }
-            if out.reports.len() > 10 {
-                println!("  … {} more", out.reports.len() - 10);
-            }
+            print_reports(&out);
             maybe_write_json(args, &out)
         }
         None => {
@@ -600,44 +585,29 @@ fn replay(args: &[String]) -> i32 {
             }
             let cfg = tool.detector_config(msm, cap);
             let t0 = Instant::now();
-            let (contexts, promoted, reports) = if workers > 0 {
-                let merged = match spinrace_core::parallel::try_run_sharded_opts(
-                    cfg,
-                    &trace.events,
-                    workers,
-                    opts,
-                ) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 1;
-                    }
-                };
-                (
-                    merged.reports.contexts(),
-                    merged.promoted_locations,
-                    merged.reports.reports().to_vec(),
-                )
-            } else {
-                let mut det = spinrace_detector::AnyDetector::new(cfg);
-                trace.replay(&mut det);
-                (
-                    det.racy_contexts(),
-                    det.promoted_locations(),
-                    det.reports().reports().to_vec(),
-                )
+            let merged = match spinrace_core::parallel::try_run_sharded_opts(
+                cfg,
+                &trace.events,
+                workers,
+                opts,
+            ) {
+                Ok(m) => m,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return 1;
+                }
             };
             let secs = t0.elapsed().as_secs_f64();
             println!(
-                "replayed {} events under {}: {} racy context(s), {} promoted location(s) \
-                 ({:.2} M ev/s, detector only)",
+                "replayed {} events under {} [{mode}]: {} racy context(s), {} promoted \
+                 location(s) ({:.2} M ev/s, detector only)",
                 trace.events.len(),
                 tool.label(),
-                contexts,
-                promoted,
+                merged.reports.contexts(),
+                merged.promoted_locations,
                 trace.events.len() as f64 / secs.max(1e-9) / 1e6,
             );
-            for r in reports.iter().take(10) {
+            for r in merged.reports.reports().iter().take(10) {
                 println!(
                     "  {:?} race at {:#x} (t{} vs t{})",
                     r.kind, r.addr, r.prior.tid, r.current.tid
@@ -648,101 +618,72 @@ fn replay(args: &[String]) -> i32 {
     }
 }
 
-/// Streaming sequential replay of a binary trace: the chunk reader
-/// decodes one chunk ahead of the detector, so the stream is never
-/// materialized. Outcome (and `--json` bytes) identical to the
-/// full-decode path.
-fn replay_streamed(args: &[String], path: &str, msm: MsmMode, cap: usize) -> i32 {
-    let reader = open_stream(path);
-    let header = reader.header().clone();
-    let tool = match opt(args, "--tool") {
-        Some(s) => parse_tool(&s),
-        None if header.tool_label.is_empty() => {
+/// The tool a replay detects under: `--tool`, else the trace's recorded
+/// tool label. `None` (after a one-line diagnostic) when neither exists.
+fn replay_tool(args: &[String], recorded: &str) -> Option<Tool> {
+    match opt(args, "--tool") {
+        Some(s) => Some(parse_tool(&s)),
+        None if recorded.is_empty() => {
             eprintln!("error: trace has no recorded tool label; pass --tool");
+            None
+        }
+        None => Some(parse_tool(recorded)),
+    }
+}
+
+/// Print the first ten described reports of an outcome.
+fn print_reports(out: &AnalysisOutcome) {
+    for r in out.reports.iter().take(10) {
+        println!(
+            "  {:?} race on {} (t{} vs t{})",
+            r.report.kind, r.location, r.report.prior.tid, r.report.current.tid
+        );
+    }
+    if out.reports.len() > 10 {
+        println!("  … {} more", out.reports.len() - 10);
+    }
+}
+
+/// Streaming replay of a binary trace: the chunk reader decodes one
+/// chunk ahead of the detector, so the stream is never materialized.
+/// Outcome (and `--json` bytes) and budget trips are identical to the
+/// full-decode path.
+fn replay_streamed(
+    args: &[String],
+    path: &str,
+    tool: Tool,
+    prepared: &PreparedModule,
+    reader: ChunkedTraceReader<BufReader<std::fs::File>>,
+    opts: EngineOptions,
+) -> i32 {
+    let t0 = Instant::now();
+    let req = DetectRequest::tool(tool).streamed().options(opts);
+    let (out, stats) = match prepared.try_run_streamed(&req, reader) {
+        Ok((o, stats)) => (o.into_single(), stats),
+        Err(spinrace_core::AnalyzeError::Trace(e)) => {
+            eprintln!("error: {path}: {e}");
             return 2;
         }
-        None => parse_tool(&header.tool_label),
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 1;
+        }
     };
-    match prepared_for_replay(&header, tool, msm, cap) {
-        Some(prepared) => {
-            let t0 = Instant::now();
-            let req = DetectRequest::tool(tool).streamed();
-            let (out, stats) = match prepared.try_run_streamed(&req, reader) {
-                Ok((o, stats)) => (o.into_single(), stats),
-                Err(spinrace_core::AnalyzeError::Trace(e)) => {
-                    eprintln!("error: {path}: {e}");
-                    return 2;
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 1;
-                }
-            };
-            let secs = t0.elapsed().as_secs_f64();
-            println!(
-                "replayed {} events under {} [sequential, streamed {} chunk(s), peak {} KiB \
-                 resident]: {} racy context(s), {} promoted location(s) ({:.2} M ev/s, \
-                 decode+detector)",
-                stats.events,
-                out.tool_label,
-                stats.chunks,
-                stats.peak_resident_bytes / 1024,
-                out.contexts,
-                out.promoted_locations,
-                stats.events as f64 / secs.max(1e-9) / 1e6,
-            );
-            for r in out.reports.iter().take(10) {
-                println!(
-                    "  {:?} race on {} (t{} vs t{})",
-                    r.report.kind, r.location, r.report.prior.tid, r.report.current.tid
-                );
-            }
-            if out.reports.len() > 10 {
-                println!("  … {} more", out.reports.len() - 10);
-            }
-            maybe_write_json(args, &out)
-        }
-        None => {
-            eprintln!(
-                "note: could not rebuild module {:?} (unknown program or fingerprint drift); \
-                 replaying without source locations",
-                header.module_name
-            );
-            if opt(args, "--json").is_some() {
-                eprintln!("error: --json needs a rebuildable module (source locations)");
-                return 1;
-            }
-            let cfg = tool.detector_config(msm, cap);
-            let mut det = spinrace_detector::AnyDetector::new(cfg);
-            let t0 = Instant::now();
-            let stats = match reader.replay_into(&mut det) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return 2;
-                }
-            };
-            let secs = t0.elapsed().as_secs_f64();
-            println!(
-                "replayed {} events under {} [streamed {} chunk(s), peak {} KiB resident]: {} \
-                 racy context(s), {} promoted location(s) ({:.2} M ev/s, decode+detector)",
-                stats.events,
-                tool.label(),
-                stats.chunks,
-                stats.peak_resident_bytes / 1024,
-                det.racy_contexts(),
-                det.promoted_locations(),
-                stats.events as f64 / secs.max(1e-9) / 1e6,
-            );
-            for r in det.reports().reports().iter().take(10) {
-                println!(
-                    "  {:?} race at {:#x} (t{} vs t{})",
-                    r.kind, r.addr, r.prior.tid, r.current.tid
-                );
-            }
-            0
-        }
-    }
+    let secs = t0.elapsed().as_secs_f64();
+    println!(
+        "replayed {} events under {} [sequential, streamed {} chunk(s), peak {} KiB \
+         resident]: {} racy context(s), {} promoted location(s) ({:.2} M ev/s, \
+         decode+detector)",
+        stats.events,
+        out.tool_label,
+        stats.chunks,
+        stats.peak_resident_bytes / 1024,
+        out.contexts,
+        out.promoted_locations,
+        stats.events as f64 / secs.max(1e-9) / 1e6,
+    );
+    print_reports(&out);
+    maybe_write_json(args, &out)
 }
 
 /// `convert`: rewrite a trace in the other on-disk encoding (or an

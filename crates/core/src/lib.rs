@@ -56,6 +56,7 @@
 //! session (prepare → live detect, no recording).
 
 pub mod parallel;
+mod pass;
 pub mod request;
 pub mod session;
 

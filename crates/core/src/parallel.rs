@@ -1,26 +1,27 @@
 //! Parallel sharded trace replay — deterministic by construction.
 //!
-//! [`try_run_many_sharded_opts`] replays one recorded event stream once
-//! per detector configuration on **one** scoped thread pool: plain data
-//! accesses are partitioned along the detector's
+//! [`try_run_sharded_opts`] replays one recorded event stream under one
+//! detector configuration on a scoped thread pool: plain data accesses
+//! are partitioned along the detector's
 //! [`ShadowTable`](spinrace_detector::shadow::ShadowTable) shard seam —
 //! worker `i` of `W` owns shard `s` iff `s % W == i`, for the whole
 //! stream — while every synchronization-relevant event is broadcast so
 //! each worker's thread vector clocks evolve exactly as a sequential
-//! detector's would. [`try_run_sharded_opts`] is its one-configuration
-//! case.
+//! detector's would. A multi-target [`DetectRequest`](crate::DetectRequest)
+//! replays its targets one after another, each on its own pool, under
+//! one watchdog.
 //!
 //! The merged result — reports, racy contexts, promotion counts, and the
 //! full [`DetectorMetrics`](spinrace_detector::DetectorMetrics) — is
-//! **bit-identical** to a sequential replay for any worker count, which
-//! is what lets harnesses and CLIs pick a worker count from the machine
-//! without perturbing a single table number (the CI `replay-determinism`
-//! job holds `--workers 1/2/4/8` to byte-equal output).
+//! **bit-identical** to a sequential replay for any worker count (the CI
+//! `replay-determinism` job holds `--workers 1/2/4/8` to byte-equal
+//! output).
 //!
-//! At `workers <= 1` the engine takes the **sequential fast path**: a
-//! plain detector loop with no seed pre-pass, no pool, and no per-access
-//! ownership gate, so a 1-worker "parallel" detection costs the same as
-//! a plain replay.
+//! At `workers <= 1` there is no pool: the replay is the crate's one
+//! guarded sequential pass, the same one in-memory and streamed replays
+//! run — no seed pre-pass, no threads, no per-access ownership gate.
+//! It also replays the affordable prefix when an event budget is
+//! exceeded.
 //!
 //! The determinism mechanics (promotion-seed pre-pass, tagged report
 //! attempts, the lockset op log) live in [`spinrace_detector::sharded`];
@@ -35,9 +36,10 @@
 //! all workers and returns the first [`EngineError`] instead of
 //! propagating the panic. [`EngineOptions`] additionally carries
 //! per-detection resource budgets ([`Budget`] — graceful
-//! [`EngineError::BudgetExhausted`] with partial metrics), an optional
-//! global watchdog, and a deterministic [`FaultPlan`] (panic / delay /
-//! silent drop at the Nth event of worker W; off by default and a single
+//! [`EngineError::BudgetExhausted`] with partial metrics) and an
+//! optional global watchdog, enforced in every mode, plus a
+//! deterministic [`FaultPlan`] for the pool (panic / delay / silent
+//! drop at the Nth event of worker W; off by default and a single
 //! predictable compare per event when disabled) that CI uses to prove
 //! every fault yields a structured error within a bounded wait.
 //!
@@ -76,24 +78,20 @@
 //! assert!(parallel::default_workers() >= 1);
 //! ```
 
+use crate::pass::{replay_slice, Guard, PERIODIC_MASK};
 use spinrace_detector::{
-    compute_promotion_seeds, event_route, shard_of, try_merge_fragments, AnyDetector,
-    DetectorConfig, EventRoute, MergedDetection, PromotionSeeds, RaceDetector, ShardSpec,
-    WorkerFragment, NUM_SHARDS,
+    compute_promotion_seeds, event_route, shard_of, try_merge_fragments, DetectorConfig,
+    EventRoute, MergedDetection, PromotionSeeds, RaceDetector, ShardSpec, WorkerFragment,
+    NUM_SHARDS,
 };
 use spinrace_vm::trace::TraceError;
-use spinrace_vm::{Event, EventSink};
+use spinrace_vm::Event;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// How often (in events) workers poll for cancellation, the watchdog,
-/// and the shadow budget: every 4096 events, so the hot loop pays one
-/// masked compare per event in the common case.
-pub(crate) const PERIODIC_MASK: usize = 0xFFF;
 
 /// Granularity of an injected delay: the stalled worker keeps polling
 /// for cancellation, so a peer's watchdog can cut the delay short.
@@ -245,8 +243,8 @@ pub struct PartialMetrics {
 pub struct Budget {
     /// Maximum events one detection may process.
     pub max_events: Option<u64>,
-    /// Maximum resident shadow bytes (per sequential detection, or per
-    /// worker in a parallel run).
+    /// Maximum resident shadow bytes (per target in a sequential pass,
+    /// or per worker in a parallel run).
     pub max_shadow_bytes: Option<usize>,
 }
 
@@ -392,104 +390,76 @@ pub fn default_workers() -> usize {
         .min(NUM_SHARDS)
 }
 
-/// Unwrap an engine result the way the pre-`Result` engine behaved: a
-/// failure (necessarily a genuine worker panic back then) propagated as
-/// a panic out of the coordinator.
-pub(crate) fn expect_engine<T>(result: Result<T, EngineError>) -> T {
-    result.unwrap_or_else(|e| panic!("parallel replay failed: {e}"))
-}
-
 /// Replay `events` under `cfg` on `workers` scoped threads and merge the
-/// fragments into the sequential detection result — the
-/// one-configuration case of [`try_run_many_sharded_opts`], with the
-/// same clamping, fast path, refusal and budget rules.
+/// fragments into the sequential detection result.
+///
+/// `workers` is clamped to `1..=`[`NUM_SHARDS`]. At 1 worker the replay
+/// is one guarded sequential pass. At 2 or more, a predictive
+/// configuration is refused with [`EngineError::Unsupported`] before
+/// anything else is checked; then an exceeded event budget replays the
+/// affordable prefix sequentially and returns its
+/// [`EngineError::BudgetExhausted`].
 pub fn try_run_sharded_opts(
     cfg: DetectorConfig,
     events: &[Event],
     workers: usize,
     opts: EngineOptions,
 ) -> Result<MergedDetection, EngineError> {
-    let mut merged = try_run_many_sharded_opts(&[cfg], events, workers, opts)?;
-    Ok(merged
-        .pop()
-        .expect("one configuration yields one detection"))
+    run_sharded(cfg, events, workers, &opts, Guard::start(&opts))
 }
 
-/// Replay `events` once per configuration on **one** scoped worker pool:
-/// each worker thread processes every configuration's job in order, so a
-/// tool fan-out over the same trace pays thread spawn/join once instead
-/// of once per tool. Results are merged per configuration, in input
-/// order, each byte-identical to its sequential replay. The whole
-/// fan-out shares one cancellation domain: the first failure in any
-/// configuration's pass fails the batch.
-///
-/// `workers` is clamped to `1..=`[`NUM_SHARDS`]. At 1 worker every
-/// configuration runs on the sequential fast path. At 2 or more, a
-/// predictive configuration is refused with [`EngineError::Unsupported`]
-/// before anything else is checked; then an exceeded event budget
-/// replays the affordable prefix of the first configuration
-/// sequentially and returns its [`EngineError::BudgetExhausted`].
-pub fn try_run_many_sharded_opts(
-    cfgs: &[DetectorConfig],
+/// [`try_run_sharded_opts`] under a watchdog the caller already
+/// started, so a multi-target request replays its targets one after
+/// another under one deadline.
+pub(crate) fn run_sharded(
+    cfg: DetectorConfig,
     events: &[Event],
     workers: usize,
-    opts: EngineOptions,
-) -> Result<Vec<MergedDetection>, EngineError> {
+    opts: &EngineOptions,
+    guard: Guard,
+) -> Result<MergedDetection, EngineError> {
     let workers = workers.clamp(1, NUM_SHARDS);
-    if workers <= 1 {
-        return cfgs
-            .iter()
-            .map(|&cfg| try_run_sequential(cfg, events, opts))
-            .collect();
-    }
-    if cfgs.iter().any(|c| c.is_predictive()) {
+    if workers > 1 && cfg.is_predictive() {
         return Err(unsupported_predictive());
     }
-    if exceeds_event_budget(events, &opts) {
-        let Some(&cfg) = cfgs.first() else {
-            return Ok(Vec::new());
-        };
-        return Err(try_run_sequential(cfg, events, opts)
-            .expect_err("prefix replay under an exceeded event budget must error"));
+    let over_budget = opts
+        .budget
+        .max_events
+        .is_some_and(|max| events.len() as u64 > max);
+    if workers == 1 || over_budget {
+        let mut merged = replay_slice(&[cfg], events, opts, guard)?;
+        return Ok(merged
+            .pop()
+            .expect("one configuration yields one detection"));
     }
-    run_pool(cfgs, events, workers, opts)
+    run_pool(cfg, events, workers, opts.fault, guard)
 }
 
-/// The worker pool proper, at any width — including 1, which the public
-/// entry points route to the sequential fast path instead (the tests
-/// force it here to pin the fast path to the full machinery).
+/// The worker pool proper, at any width — including 1, which
+/// [`run_sharded`] routes to the sequential pass instead (the tests
+/// force it here to pin that pass to the full machinery).
 fn run_pool(
-    cfgs: &[DetectorConfig],
+    cfg: DetectorConfig,
     events: &[Event],
     workers: usize,
-    opts: EngineOptions,
-) -> Result<Vec<MergedDetection>, EngineError> {
-    let jobs: Vec<Job> = cfgs
-        .iter()
-        .map(|&cfg| Job {
-            cfg,
-            seeds: Arc::new(compute_promotion_seeds(cfg, events)),
-        })
-        .collect();
-    let shared = EngineShared::new(&opts);
-    let mut per_worker: Vec<Vec<Option<WorkerFragment>>> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
+    fault: Option<FaultPlan>,
+    guard: Guard,
+) -> Result<MergedDetection, EngineError> {
+    let seeds = Arc::new(compute_promotion_seeds(cfg, events));
+    let shared = EngineShared::new(guard);
+    let fragments: Vec<Option<WorkerFragment>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|index| {
                 let spec = ShardSpec::new(workers, index);
-                let jobs = &jobs;
-                let shared = &shared;
-                s.spawn(move || {
-                    jobs.iter()
-                        .map(|job| worker_pass_guarded(events, job, spec, shared, opts))
-                        .collect::<Vec<Option<WorkerFragment>>>()
-                })
+                let (seeds, shared) = (&seeds, &shared);
+                s.spawn(move || worker_pass_guarded(events, cfg, seeds, spec, shared, fault))
             })
             .collect();
-        for (index, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(v) => per_worker.push(v),
-                Err(payload) => {
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(index, h)| {
+                h.join().unwrap_or_else(|payload| {
                     // catch_unwind should have absorbed this; a panic
                     // escaping the guard (e.g. from a Drop) still must
                     // not abort the whole process.
@@ -497,130 +467,31 @@ fn run_pool(
                         worker: index,
                         payload: panic_message(payload.as_ref()),
                     });
-                    per_worker.push(Vec::new());
-                }
-            }
-        }
+                    None
+                })
+            })
+            .collect()
     });
     if let Some(err) = shared.take() {
         return Err(err);
     }
-    let mut columns: Vec<_> = per_worker.into_iter().map(|v| v.into_iter()).collect();
-    cfgs.iter()
-        .map(|cfg| {
-            let mut fragments = Vec::with_capacity(columns.len());
-            for (worker, c) in columns.iter_mut().enumerate() {
-                match c.next().flatten() {
-                    Some(f) => fragments.push(f),
-                    None => return Err(EngineError::WorkerLost { worker }),
-                }
-            }
-            try_merge_fragments(cfg.context_cap, fragments)
-                .ok_or(EngineError::WorkerLost { worker: 0 })
-        })
-        .collect()
+    let fragments = fragments
+        .into_iter()
+        .enumerate()
+        .map(|(worker, f)| f.ok_or(EngineError::WorkerLost { worker }))
+        .collect::<Result<Vec<_>, _>>()?;
+    try_merge_fragments(cfg.context_cap, fragments).ok_or(EngineError::WorkerLost { worker: 0 })
 }
 
-/// The refusal every parallel entry point returns for predictive
-/// configurations (sync-preserving release clocks flow through per-lock
-/// conflict maps in trace order — there is no sound shard split).
-fn unsupported_predictive() -> EngineError {
+/// The refusal parallel replay returns for predictive configurations
+/// (sync-preserving release clocks flow through per-lock conflict maps
+/// in trace order — there is no sound shard split).
+pub(crate) fn unsupported_predictive() -> EngineError {
     EngineError::Unsupported {
         reason: "predictive (sync-preserving) detection is a single sequential pass; \
                  use sequential or streamed mode instead of parallel replay"
             .to_string(),
     }
-}
-
-/// Does `events` overflow the configured event budget?
-fn exceeds_event_budget(events: &[Event], opts: &EngineOptions) -> bool {
-    opts.budget
-        .max_events
-        .is_some_and(|max| events.len() as u64 > max)
-}
-
-/// The single-worker fast path: a plain sequential detector fed through
-/// the ordinary [`EventSink`] loop, sealed into the merged-detection
-/// shape. No seed pre-pass, no pool, no ownership gate per access —
-/// just the periodic watchdog/budget poll, which is dormant (two
-/// predictable compares every 4096 events) under default options.
-fn try_run_sequential(
-    cfg: DetectorConfig,
-    events: &[Event],
-    opts: EngineOptions,
-) -> Result<MergedDetection, EngineError> {
-    let limit = opts
-        .budget
-        .max_events
-        .map_or(events.len(), |m| (m as usize).min(events.len()));
-    let truncated = limit < events.len();
-    let deadline = opts.watchdog.map(|d| (Instant::now() + d, d));
-    let shadow_limit = opts.budget.max_shadow_bytes.unwrap_or(usize::MAX);
-    let mut det = AnyDetector::new(cfg);
-    for (i, ev) in events[..limit].iter().enumerate() {
-        if i & PERIODIC_MASK == 0 {
-            if let Some((at, d)) = deadline {
-                if Instant::now() >= at {
-                    return Err(EngineError::Watchdog {
-                        limit_ms: d.as_millis() as u64,
-                    });
-                }
-            }
-            if shadow_limit != usize::MAX {
-                let bytes = det.shadow_resident_bytes();
-                if bytes > shadow_limit {
-                    return Err(EngineError::BudgetExhausted {
-                        resource: BudgetResource::ShadowBytes,
-                        limit: shadow_limit as u64,
-                        used: bytes as u64,
-                        partial: PartialMetrics {
-                            events_processed: i as u64,
-                            contexts: det.racy_contexts(),
-                            shadow_bytes: bytes,
-                        },
-                    });
-                }
-            }
-        }
-        det.on_event(ev);
-    }
-    if truncated {
-        return Err(EngineError::BudgetExhausted {
-            resource: BudgetResource::Events,
-            limit: limit as u64,
-            used: events.len() as u64,
-            partial: PartialMetrics {
-                events_processed: limit as u64,
-                contexts: det.racy_contexts(),
-                shadow_bytes: det.shadow_resident_bytes(),
-            },
-        });
-    }
-    // Final shadow check: the periodic poll samples every 4096 events,
-    // so a short run that ends over budget is caught here.
-    if shadow_limit != usize::MAX {
-        let bytes = det.shadow_resident_bytes();
-        if bytes > shadow_limit {
-            return Err(EngineError::BudgetExhausted {
-                resource: BudgetResource::ShadowBytes,
-                limit: shadow_limit as u64,
-                used: bytes as u64,
-                partial: PartialMetrics {
-                    events_processed: events.len() as u64,
-                    contexts: det.racy_contexts(),
-                    shadow_bytes: bytes,
-                },
-            });
-        }
-    }
-    Ok(det.into_detection())
-}
-
-/// One configuration's replay job on the shared pool: the config and its
-/// promotion seeds.
-struct Job {
-    cfg: DetectorConfig,
-    seeds: Arc<PromotionSeeds>,
 }
 
 /// Lock a mutex, ignoring poison: the failure slot holds plain data, and
@@ -633,22 +504,20 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Cross-worker failure channel: the first error wins, flips the
 /// cancellation flag, and every worker drains out at its next periodic
-/// check. Also owns the global watchdog deadline
-/// so any polling site can trip it.
+/// check. Also holds the detection's [`Guard`], so any polling site can
+/// trip the watchdog.
 struct EngineShared {
     cancelled: AtomicBool,
     failure: Mutex<Option<EngineError>>,
-    deadline: Option<Instant>,
-    watchdog_ms: u64,
+    guard: Guard,
 }
 
 impl EngineShared {
-    fn new(opts: &EngineOptions) -> EngineShared {
+    fn new(guard: Guard) -> EngineShared {
         EngineShared {
             cancelled: AtomicBool::new(false),
             failure: Mutex::new(None),
-            deadline: opts.watchdog.map(|d| Instant::now() + d),
-            watchdog_ms: opts.watchdog.map_or(0, |d| d.as_millis() as u64),
+            guard,
         }
     }
 
@@ -663,21 +532,19 @@ impl EngineShared {
     }
 
     /// Should the calling worker stop? True once any failure is recorded,
-    /// or once the global watchdog deadline passes (which records the
-    /// watchdog failure as a side effect).
+    /// or once the watchdog deadline passes (which records the watchdog
+    /// failure as a side effect).
     fn should_stop(&self) -> bool {
         if self.cancelled.load(Ordering::Relaxed) {
             return true;
         }
-        if let Some(at) = self.deadline {
-            if Instant::now() >= at {
-                self.fail(EngineError::Watchdog {
-                    limit_ms: self.watchdog_ms,
-                });
-                return true;
+        match self.guard.watchdog() {
+            Ok(()) => false,
+            Err(e) => {
+                self.fail(e);
+                true
             }
         }
-        false
     }
 
     fn take(&self) -> Option<EngineError> {
@@ -700,13 +567,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`EngineError::WorkerPanic`] plus cancellation.
 fn worker_pass_guarded(
     events: &[Event],
-    job: &Job,
+    cfg: DetectorConfig,
+    seeds: &Arc<PromotionSeeds>,
     spec: ShardSpec,
     shared: &EngineShared,
-    opts: EngineOptions,
+    fault: Option<FaultPlan>,
 ) -> Option<WorkerFragment> {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        worker_pass(events, job, spec, shared, opts)
+        worker_pass(events, cfg, seeds, spec, shared, fault)
     }));
     result.unwrap_or_else(|payload| {
         shared.fail(EngineError::WorkerPanic {
@@ -742,43 +610,37 @@ fn injected_delay(ms: u64, shared: &EngineShared) -> bool {
 /// reason in `shared` before returning.
 fn worker_pass(
     events: &[Event],
-    job: &Job,
+    cfg: DetectorConfig,
+    seeds: &Arc<PromotionSeeds>,
     spec: ShardSpec,
     shared: &EngineShared,
-    opts: EngineOptions,
+    fault: Option<FaultPlan>,
 ) -> Option<WorkerFragment> {
-    let Job { cfg, seeds } = job;
     let index = spec.index();
-    let mut det = RaceDetector::new_worker(*cfg, spec, Arc::clone(seeds));
+    let mut det = RaceDetector::new_worker(cfg, spec, Arc::clone(seeds));
     // A flat ownership table keeps the per-event gate a plain array
     // index.
     let owned: [bool; NUM_SHARDS] = std::array::from_fn(|s| spec.owns_shard(s));
-    let (fault_at, fault_kind) = match opts.fault {
+    let (fault_at, fault_kind) = match fault {
         Some(f) if f.worker == index => (f.at_event, Some(f.kind)),
         _ => (u64::MAX, None),
     };
-    let shadow_limit = opts.budget.max_shadow_bytes.unwrap_or(usize::MAX);
+    // A worker sees only its own shadow share, not the merged report
+    // collector: its partial metrics carry no context count.
+    let over_shadow_budget = |det: &RaceDetector, events: usize| match shared.guard.shadow_budget(
+        || det.shadow_resident_bytes(),
+        events as u64,
+        0,
+    ) {
+        Ok(()) => false,
+        Err(e) => {
+            shared.fail(e);
+            true
+        }
+    };
     for (i, ev) in events.iter().enumerate() {
-        if i & PERIODIC_MASK == 0 {
-            if shared.should_stop() {
-                return None;
-            }
-            if shadow_limit != usize::MAX {
-                let bytes = det.shadow_resident_bytes();
-                if bytes > shadow_limit {
-                    shared.fail(EngineError::BudgetExhausted {
-                        resource: BudgetResource::ShadowBytes,
-                        limit: shadow_limit as u64,
-                        used: bytes as u64,
-                        partial: PartialMetrics {
-                            events_processed: i as u64,
-                            contexts: 0,
-                            shadow_bytes: bytes,
-                        },
-                    });
-                    return None;
-                }
-            }
+        if i & PERIODIC_MASK == 0 && (shared.should_stop() || over_shadow_budget(&det, i)) {
+            return None;
         }
         if i as u64 == fault_at {
             match fault_kind {
@@ -794,7 +656,7 @@ fn worker_pass(
                 None => {}
             }
         }
-        let mine = match event_route(*cfg, seeds, ev) {
+        let mine = match event_route(cfg, seeds, ev) {
             EventRoute::Broadcast => true,
             EventRoute::Owner(addr) => owned[shard_of(addr)],
         };
@@ -802,23 +664,9 @@ fn worker_pass(
             det.on_event_at(i as u64, ev);
         }
     }
-    // Final shadow check, mirroring the sequential path: short runs
-    // that end over budget between periodic polls are caught here.
-    if shadow_limit != usize::MAX {
-        let bytes = det.shadow_resident_bytes();
-        if bytes > shadow_limit {
-            shared.fail(EngineError::BudgetExhausted {
-                resource: BudgetResource::ShadowBytes,
-                limit: shadow_limit as u64,
-                used: bytes as u64,
-                partial: PartialMetrics {
-                    events_processed: events.len() as u64,
-                    contexts: 0,
-                    shadow_bytes: bytes,
-                },
-            });
-            return None;
-        }
+    // Final shadow check, as at the end of the sequential pass.
+    if over_shadow_budget(&det, events.len()) {
+        return None;
     }
     Some(det.into_fragment())
 }
@@ -828,7 +676,7 @@ mod tests {
     use super::*;
     use spinrace_detector::MsmMode;
     use spinrace_tir::{Module, ModuleBuilder};
-    use spinrace_vm::{record_run, VmConfig};
+    use spinrace_vm::{record_run, EventSink, VmConfig};
 
     /// Locked counters + an ad-hoc flag handoff + a deliberate race: all
     /// detector features (locksets, promotion, HB reports) in one module.
@@ -917,7 +765,7 @@ mod tests {
 
     #[test]
     fn one_worker_forced_through_the_engine_equals_the_fast_path() {
-        // The entry points take the sequential fast path at 1 worker;
+        // The entry point takes the sequential pass at 1 worker;
         // `run_pool` forces the full worker/merge machinery at that
         // width. Both must agree with a plain sequential detector.
         let m = mixed_module();
@@ -929,11 +777,9 @@ mod tests {
             let mut seq = RaceDetector::new(cfg);
             trace.replay(&mut seq);
             let fast = replay_sharded(cfg, &trace.events, 1);
-            assert_matches_sequential(&fast, &seq, "fast path");
-            let forced = run_pool(&[cfg], &trace.events, 1, EngineOptions::default())
-                .unwrap()
-                .pop()
-                .unwrap();
+            assert_matches_sequential(&fast, &seq, "sequential pass");
+            let opts = EngineOptions::default();
+            let forced = run_pool(cfg, &trace.events, 1, None, Guard::start(&opts)).unwrap();
             assert_matches_sequential(&forced, &seq, "forced 1-worker engine");
             assert_eq!(fast.reports.reports(), forced.reports.reports());
             assert_eq!(fast.metrics, forced.metrics);
@@ -942,6 +788,9 @@ mod tests {
 
     #[test]
     fn run_many_matches_individual_runs() {
+        // One sequential pass feeding three detectors, and the engine
+        // run once per configuration, both equal each configuration's
+        // own sequential replay.
         let m = mixed_module();
         let trace = record_run(&m, VmConfig::round_robin(), "test").unwrap();
         let cfgs = [
@@ -949,15 +798,16 @@ mod tests {
             DetectorConfig::helgrind_lib_spin(MsmMode::Long),
             DetectorConfig::drd(),
         ];
-        for workers in [1, 2, 4] {
-            let many =
-                try_run_many_sharded_opts(&cfgs, &trace.events, workers, EngineOptions::default())
-                    .unwrap();
-            assert_eq!(many.len(), cfgs.len());
-            for (cfg, merged) in cfgs.iter().zip(&many) {
-                let mut seq = RaceDetector::new(*cfg);
-                trace.replay(&mut seq);
-                assert_matches_sequential(merged, &seq, &format!("pooled at {workers} workers"));
+        let opts = EngineOptions::default();
+        let one_pass = replay_slice(&cfgs, &trace.events, &opts, Guard::start(&opts)).unwrap();
+        assert_eq!(one_pass.len(), cfgs.len());
+        for (cfg, merged) in cfgs.iter().zip(&one_pass) {
+            let mut seq = RaceDetector::new(*cfg);
+            trace.replay(&mut seq);
+            assert_matches_sequential(merged, &seq, "one pass over three detectors");
+            for workers in [2, 4] {
+                let pooled = replay_sharded(*cfg, &trace.events, workers);
+                assert_matches_sequential(&pooled, &seq, &format!("pooled at {workers} workers"));
             }
         }
     }

@@ -42,8 +42,8 @@
 //! let out = run.run(&DetectRequest::own()).into_single();
 //! assert!(out.has_race_on("g"));
 //!
-//! // …and the same request parallelized and fanned out over two tools
-//! // on one worker pool — byte-identical per target.
+//! // …and fanned out over two tools on the parallel engine, each
+//! // target on its own worker pool — byte-identical per target.
 //! let req = DetectRequest::tools(&[Tool::HelgrindLib, Tool::Drd]).parallel(4);
 //! let outs = run.run(&req).into_vec();
 //! assert_eq!(outs.len(), 2);
@@ -78,11 +78,13 @@ pub enum DetectTarget {
 /// How a request replays the stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DetectMode {
-    /// One in-order pass per target — the deterministic baseline.
+    /// One in-order pass that feeds every target — the deterministic
+    /// baseline.
     Sequential,
     /// The sharded parallel engine on `workers` threads (clamped to
-    /// `1..=NUM_SHARDS`); bit-identical to [`DetectMode::Sequential`]
-    /// at every width.
+    /// `1..=NUM_SHARDS`; at most one worker is the sequential pass),
+    /// one target after another; bit-identical to
+    /// [`DetectMode::Sequential`] at every width.
     Parallel {
         /// Worker thread count.
         workers: usize,

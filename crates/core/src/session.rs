@@ -9,13 +9,14 @@
 //!    records the event stream as a replayable [`Trace`] inside an
 //!    [`ExecutedRun`];
 //! 3. [`ExecutedRun::run`] executes a [`DetectRequest`] — replay the
-//!    trace under any fan-out of tools/configurations, sequentially or
-//!    on the parallel sharded engine, with watchdogs and budgets — and
-//!    each replay is equivalent to having run that detector live (the
-//!    VM hands events to sinks by reference, synchronously, and
-//!    detectors are deterministic). [`PreparedModule::try_run_streamed`]
-//!    executes the same request against a binary trace stream without
-//!    materializing it.
+//!    trace under any fan-out of tools/configurations, in one guarded
+//!    sequential pass that feeds every target, or on the parallel
+//!    sharded engine, with watchdogs and budgets — and each replay is
+//!    equivalent to having run that detector live (the VM hands events
+//!    to sinks by reference, synchronously, and detectors are
+//!    deterministic). [`PreparedModule::try_run_streamed`] runs the same
+//!    sequential pass over a binary trace stream, one chunk at a time,
+//!    without materializing it.
 //!
 //! Because the VM is deterministic, two tools whose preparation produced
 //! the same module (same [`Module::fingerprint`]) see the same stream —
@@ -23,18 +24,18 @@
 //! spin windows that accepted the same loops. Harnesses exploit this by
 //! caching [`ExecutedRun`]s per fingerprint and fanning detection out.
 
-use crate::parallel::{expect_engine, BudgetResource, EngineError, PartialMetrics, PERIODIC_MASK};
+use crate::parallel::{run_sharded, unsupported_predictive, EngineError};
+use crate::pass::{replay_slice, Guard, GuardedPass};
 use crate::request::{DetectMode, DetectOutcome, DetectRequest, DetectTarget};
 use crate::{AnalysisOutcome, AnalyzeError, DescribedReport, Tool};
-use spinrace_detector::{AnyDetector, DetectorConfig, MsmMode};
+use spinrace_detector::{AnyDetector, DetectorConfig, MergedDetection, MsmMode};
 use spinrace_spinfind::{SpinCriteria, SpinFinder};
 use spinrace_synclib::{lower_to_spinlib_styled, LibStyle};
 use spinrace_tir::Module;
 use spinrace_tracefmt::{ChunkedTraceReader, StreamStats};
-use spinrace_vm::{run_module, EventSink, RunSummary, Tee, Trace, TraceRecorder, VmConfig};
+use spinrace_vm::{run_module, RunSummary, Tee, Trace, TraceRecorder, VmConfig};
 use std::io;
 use std::path::Path;
-use std::time::Instant;
 
 /// A configured analysis session over one source module.
 #[derive(Clone, Copy, Debug)]
@@ -200,7 +201,7 @@ impl PreparedModule {
     pub fn detect_live(&self) -> Result<AnalysisOutcome, AnalyzeError> {
         let mut det = AnyDetector::new(self.default_config());
         let summary = run_module(&self.module, self.vm, &mut det)?;
-        Ok(self.assemble(self.tool.label(), det, summary))
+        Ok(self.assemble(self.tool.label(), det.into_detection(), summary))
     }
 
     /// Interpret the module once with the default detector attached live
@@ -212,7 +213,7 @@ impl PreparedModule {
         let mut tee = Tee::new(rec, &mut det);
         let summary = run_module(&self.module, self.vm, &mut tee)?;
         let (rec, _) = tee.into_inner();
-        let outcome = self.assemble(self.tool.label(), det, summary.clone());
+        let outcome = self.assemble(self.tool.label(), det.into_detection(), summary.clone());
         Ok((
             ExecutedRun {
                 trace: rec.finish(summary),
@@ -242,9 +243,11 @@ impl PreparedModule {
     /// than O(trace) and detection starts before the stream has been
     /// fully read. Replay is sequential regardless of the request's
     /// [`DetectMode`] (the parallel engine shards over a full event
-    /// slice and goes through [`ExecutedRun`] instead), but the
-    /// request's targets fan out on one pass and its watchdog/budget
-    /// [`EngineOptions`](crate::EngineOptions) are enforced.
+    /// slice and goes through [`ExecutedRun`] instead): the same guarded
+    /// pass as [`ExecutedRun::try_run`]'s sequential mode, fed one chunk
+    /// at a time, with the request's targets fanned out on it and its
+    /// watchdog/budget [`EngineOptions`](crate::EngineOptions) enforced
+    /// identically.
     ///
     /// Fails with [`AnalyzeError::TraceMismatch`] when the stream's
     /// fingerprint does not match this prepared module, with
@@ -252,7 +255,7 @@ impl PreparedModule {
     /// detected per chunk, possibly mid-replay), and with
     /// [`AnalyzeError::Engine`] on a tripped watchdog or budget
     /// (event-budget trips replay exactly the affordable prefix and
-    /// carry faithful [`PartialMetrics`]).
+    /// carry faithful [`PartialMetrics`](crate::PartialMetrics)).
     pub fn try_run_streamed<R: io::Read + Send>(
         &self,
         req: &DetectRequest,
@@ -283,62 +286,20 @@ impl PreparedModule {
             });
         }
         let summary = reader.summary().clone();
-        let total = reader.header().events;
         let resolved = self.resolve_targets(req);
-        let mut dets: Vec<AnyDetector> = resolved
-            .iter()
-            .map(|&(_, cfg)| AnyDetector::new(cfg))
-            .collect();
-        let mut seen: Vec<usize> = vec![0; dets.len()];
+        let cfgs: Vec<DetectorConfig> = resolved.iter().map(|&(_, cfg)| cfg).collect();
         let opts = req.engine_options();
-        let limit = opts.budget.max_events.map_or(total, |m| m.min(total));
-        let truncated = limit < total;
-        let deadline = opts.watchdog.map(|d| (Instant::now() + d, d));
-        let shadow_limit = opts.budget.max_shadow_bytes.unwrap_or(usize::MAX);
+        let mut pass = GuardedPass::new(&cfgs, reader.header().events, &opts, Guard::start(&opts));
+        let mut seen: Vec<usize> = vec![0; cfgs.len()];
 
-        // The tracefmt decode-ahead pipeline drives the detectors; this
-        // closure adds only the fan-out plus budget/watchdog enforcement
-        // mirroring the engine's sequential pass (periodic checks every
-        // 4096 events) and the per-chunk observer.
-        let mut events = 0u64;
+        // The tracefmt decode-ahead pipeline drives the pass one chunk at
+        // a time; after each chunk every target's observer sees the
+        // reports that chunk produced.
         let mut chunks = 0u32;
         let stats = reader.for_each_chunk(|chunk| -> Result<(), AnalyzeError> {
-            for ev in chunk {
-                if truncated && events == limit {
-                    break;
-                }
-                if events & (PERIODIC_MASK as u64) == 0 {
-                    if let Some((at, d)) = deadline {
-                        if Instant::now() >= at {
-                            return Err(EngineError::Watchdog {
-                                limit_ms: d.as_millis() as u64,
-                            }
-                            .into());
-                        }
-                    }
-                    check_shadow(&dets, shadow_limit, events)?;
-                }
-                for det in &mut dets {
-                    det.on_event(ev);
-                }
-                events += 1;
-            }
+            pass.feed(chunk)?;
             chunks += 1;
-            if truncated && events == limit {
-                let first = &dets[0];
-                return Err(EngineError::BudgetExhausted {
-                    resource: BudgetResource::Events,
-                    limit,
-                    used: total,
-                    partial: PartialMetrics {
-                        events_processed: limit,
-                        contexts: first.racy_contexts(),
-                        shadow_bytes: first.shadow_resident_bytes(),
-                    },
-                }
-                .into());
-            }
-            for (idx, det) in dets.iter().enumerate() {
+            for (idx, det) in pass.detectors().iter().enumerate() {
                 let reports = det.reports().reports();
                 let new: Vec<DescribedReport> = reports[seen[idx]..]
                     .iter()
@@ -352,53 +313,34 @@ impl PreparedModule {
                     target: idx,
                     tool_label: &resolved[idx].0,
                     chunk: chunks,
-                    events,
+                    events: pass.events(),
                     contexts: det.racy_contexts(),
                     new_reports: &new,
                 });
             }
             Ok(())
         })?;
-        // Final shadow check: the periodic poll samples every 4096
-        // events, so a short stream that ends over budget lands here.
-        check_shadow(&dets, shadow_limit, events)?;
+        let detections = pass.finish()?;
 
         let outcomes = resolved
             .into_iter()
-            .zip(dets)
-            .map(|((label, _), det)| self.assemble(label, det, summary.clone()))
+            .zip(detections)
+            .map(|((label, _), detection)| self.assemble(label, detection, summary.clone()))
             .collect();
         Ok((DetectOutcome { outcomes }, stats))
     }
 
-    /// Build the user-facing outcome from a finished detector.
+    /// Build the user-facing outcome from a sealed detection — one
+    /// assembly for the live, sequential, streamed and parallel paths,
+    /// so they can never diverge in how reports are described.
     fn assemble(
         &self,
         tool_label: String,
-        det: AnyDetector,
+        detection: MergedDetection,
         summary: RunSummary,
     ) -> AnalysisOutcome {
-        self.assemble_parts(
-            tool_label,
-            det.reports(),
-            det.metrics(),
-            det.promoted_locations(),
-            summary,
-        )
-    }
-
-    /// Build the user-facing outcome from detection parts — shared by the
-    /// live/sequential path ([`Self::assemble`]) and the parallel merge,
-    /// so the two can never diverge in how reports are described.
-    fn assemble_parts(
-        &self,
-        tool_label: String,
-        collector: &spinrace_detector::ReportCollector,
-        metrics: spinrace_detector::DetectorMetrics,
-        promoted_locations: usize,
-        summary: RunSummary,
-    ) -> AnalysisOutcome {
-        let reports: Vec<DescribedReport> = collector
+        let reports: Vec<DescribedReport> = detection
+            .reports
             .reports()
             .iter()
             .map(|r| DescribedReport {
@@ -409,39 +351,14 @@ impl PreparedModule {
         AnalysisOutcome {
             module_name: self.original_name.clone(),
             tool_label,
-            contexts: collector.contexts(),
+            contexts: detection.reports.contexts(),
             reports,
-            metrics,
-            promoted_locations,
+            metrics: detection.metrics,
+            promoted_locations: detection.promoted_locations,
             spin_loops_found: self.spin_loops_found,
             summary,
         }
     }
-}
-
-/// Fail with [`BudgetResource::ShadowBytes`] when any detector's
-/// resident shadow memory exceeds `limit` (`usize::MAX` = unlimited),
-/// carrying that detector's partial metrics after `events` events.
-fn check_shadow(dets: &[AnyDetector], limit: usize, events: u64) -> Result<(), EngineError> {
-    if limit == usize::MAX {
-        return Ok(());
-    }
-    for det in dets {
-        let bytes = det.shadow_resident_bytes();
-        if bytes > limit {
-            return Err(EngineError::BudgetExhausted {
-                resource: BudgetResource::ShadowBytes,
-                limit: limit as u64,
-                used: bytes as u64,
-                partial: PartialMetrics {
-                    events_processed: events,
-                    contexts: det.racy_contexts(),
-                    shadow_bytes: bytes,
-                },
-            });
-        }
-    }
-    Ok(())
 }
 
 /// One per-target, per-chunk progress report from
@@ -524,12 +441,14 @@ impl ExecutedRun {
 
     // ---- the unified entry point ----
 
-    /// Execute a [`DetectRequest`] against the recorded trace: every
-    /// target replays on the mode the request selects (sequentially, or
-    /// on the parallel sharded engine — multi-target fan-outs share one
-    /// worker pool), under the request's watchdog, budget, and fault
-    /// options. Outcomes come back in target order and are
-    /// bit-identical across every mode and worker count.
+    /// Execute a [`DetectRequest`] against the recorded trace, under the
+    /// request's watchdog, budget, and fault options. At most one worker
+    /// (sequential, streamed, or `parallel(1)`), all targets share one
+    /// guarded pass over the trace. At 2 or more workers, a predictive
+    /// target refuses the whole request up front; otherwise each target
+    /// runs on the parallel sharded engine in turn, under one watchdog.
+    /// Outcomes come back in target order and are bit-identical across
+    /// every mode and worker count.
     ///
     /// [`DetectMode::Streamed`] degenerates to sequential here: the
     /// trace is already materialized. Bounded-memory streaming goes
@@ -542,53 +461,47 @@ impl ExecutedRun {
     /// is the convenient form.
     pub fn try_run(&self, req: &DetectRequest) -> Result<DetectOutcome, EngineError> {
         let resolved = self.prepared.resolve_targets(req);
-        let workers = match req.mode() {
-            DetectMode::Parallel { workers } => workers,
-            DetectMode::Sequential | DetectMode::Streamed => 1,
-        };
         let cfgs: Vec<DetectorConfig> = resolved.iter().map(|&(_, cfg)| cfg).collect();
-        let merged = crate::parallel::try_run_many_sharded_opts(
-            &cfgs,
-            &self.trace.events,
-            workers,
-            req.engine_options(),
-        )?;
+        let opts = req.engine_options();
+        let guard = Guard::start(&opts);
+        let events = &self.trace.events;
+        let merged = match req.mode() {
+            DetectMode::Parallel { workers } if workers > 1 => {
+                if cfgs.iter().any(|c| c.is_predictive()) {
+                    return Err(unsupported_predictive());
+                }
+                cfgs.iter()
+                    .map(|&cfg| run_sharded(cfg, events, workers, &opts, guard))
+                    .collect::<Result<Vec<_>, _>>()?
+            }
+            _ => replay_slice(&cfgs, events, &opts, guard)?,
+        };
         let outcomes = merged
             .into_iter()
             .zip(resolved)
-            .map(|(merged, (label, _))| self.merged_outcome(label, merged))
+            .map(|(merged, (label, _))| {
+                self.prepared
+                    .assemble(label, merged, self.trace.summary.clone())
+            })
             .collect();
         Ok(DetectOutcome { outcomes })
     }
 
-    /// [`Self::try_run`], unwrapped: panics when the replay engine
-    /// fails (without explicit [`EngineOptions`] the only way that can
-    /// happen is a genuine worker panic).
+    /// [`Self::try_run`], unwrapped: panics when the replay fails
+    /// (without explicit [`EngineOptions`] only a genuine worker panic
+    /// or a refused parallel predictive request can fail).
     ///
     /// [`EngineOptions`]: crate::EngineOptions
     pub fn run(&self, req: &DetectRequest) -> DetectOutcome {
-        expect_engine(self.try_run(req))
-    }
-
-    fn merged_outcome(
-        &self,
-        label: String,
-        merged: spinrace_detector::MergedDetection,
-    ) -> AnalysisOutcome {
-        self.prepared.assemble_parts(
-            label,
-            &merged.reports,
-            merged.metrics,
-            merged.promoted_locations,
-            self.trace.summary.clone(),
-        )
+        self.try_run(req)
+            .unwrap_or_else(|e| panic!("replay failed: {e}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Analyzer;
+    use crate::{Analyzer, BudgetResource};
     use spinrace_tir::ModuleBuilder;
 
     fn racy() -> Module {

@@ -143,13 +143,14 @@ impl RaceDetector {
     }
 
     /// Seal a *sequential* detector into the merged-detection shape — the
-    /// single-worker fast path of parallel replay, which skips the seed
-    /// pre-pass, the pool, and the per-access ownership gate entirely and
-    /// is therefore exactly as fast as a plain replay.
+    /// result of the sequential pass parallel replay takes at one worker,
+    /// which skips the seed pre-pass, the pool, and the per-access
+    /// ownership gate entirely and is therefore exactly as fast as a
+    /// plain replay.
     pub fn into_detection(mut self) -> crate::sharded::MergedDetection {
         assert!(
             self.worker.is_none(),
-            "into_detection is the sequential fast path; workers merge via fragments"
+            "into_detection seals a sequential detector; workers merge via fragments"
         );
         let metrics = self.metrics();
         let promoted_locations = self.sync_loc.len();

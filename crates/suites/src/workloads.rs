@@ -12,9 +12,8 @@
 //! correct-by-construction program) — no recorded baseline involved.
 //!
 //! Like the other suites, execution is trace-centric (one VM run per
-//! distinct prepared module, cached by fingerprint) and detection runs
-//! through the parallel sharded engine, so the table doubles as a
-//! determinism check for the merge path on oracle-bearing streams.
+//! distinct prepared module, cached by fingerprint) and the tools that
+//! share a run are detected in one sequential pass over its trace.
 
 use crate::harness::lineup_outcomes;
 use spinrace_core::{AnalysisOutcome, Session, Tool};

@@ -544,3 +544,110 @@ fn streamed_early_exits_never_hang_the_decoder() {
     assert_eq!(exit.observed, 3);
     assert_eq!(exit.pulled, ends[4]);
 }
+
+// ---- one guarded pass: in-memory and streamed replay agree ----
+
+/// A two-target request on one shared prepared module (lib and DRD both
+/// run the unmodified module), replayed from memory and streamed from a
+/// multi-chunk binary encoding: within budget the outcomes are equal,
+/// and every event budget, shadow-byte budget and zero watchdog trips
+/// the same `EngineError` — partial metrics included — on both paths.
+#[test]
+fn sequential_and_streamed_passes_agree_on_outcomes_and_errors() {
+    let spec = WorkloadSpec::new(Family::Zipf)
+        .threads(4)
+        .events_per_thread(5000)
+        .addr_space(1 << 14)
+        .seed(3);
+    let wl = spec.build();
+    let run = Session::for_module(&wl.module)
+        .vm_config(spec.vm_config())
+        .prepare(Tool::HelgrindLib)
+        .unwrap()
+        .execute()
+        .unwrap();
+    let total = run.trace().events.len() as u64;
+    let bytes = encode_trace_chunked(run.trace(), 3000);
+    assert!(ChunkedTraceReader::new(&bytes[..]).unwrap().chunk_count() >= 5);
+    let tools = [Tool::HelgrindLib, Tool::Drd];
+    let both = |req: DetectRequest| {
+        let seq = run.try_run(&req.clone().sequential());
+        let reader = ChunkedTraceReader::new(&bytes[..]).unwrap();
+        let streamed = run.prepared().try_run_streamed(&req.streamed(), reader);
+        (seq, streamed.map(|(out, _)| out))
+    };
+
+    // Within budget: equal outcomes, target by target.
+    let (seq, streamed) = both(DetectRequest::tools(&tools));
+    let (seq, streamed) = (seq.unwrap().into_vec(), streamed.unwrap().into_vec());
+    assert_eq!(seq.len(), 2);
+    for (a, b) in seq.iter().zip(&streamed) {
+        assert_eq!(a.tool_label, b.tool_label);
+        assert_eq!(a.contexts, b.contexts, "{}", a.tool_label);
+        assert_eq!(a.reports.len(), b.reports.len(), "{}", a.tool_label);
+        for (x, y) in a.reports.iter().zip(&b.reports) {
+            assert_eq!(x.location, y.location);
+            assert_eq!(x.report, y.report);
+        }
+        assert_eq!(a.metrics, b.metrics, "{}", a.tool_label);
+        assert_eq!(a.promoted_locations, b.promoted_locations);
+        assert_eq!(a.summary, b.summary);
+    }
+
+    // Over budget: the same error from both paths, or (for a shadow
+    // budget the whole stream fits under) success on both.
+    let same_failure = |req: DetectRequest| -> Option<EngineError> {
+        let (seq, streamed) = both(req);
+        match (seq, streamed) {
+            (Err(a), Err(AnalyzeError::Engine(b))) => {
+                assert_eq!(a, b);
+                Some(a)
+            }
+            (Ok(_), Ok(_)) => None,
+            (a, b) => panic!("paths disagree: in-memory {a:?}, streamed {b:?}"),
+        }
+    };
+    for k in [0, 1, 4095, 4096, 4097, 10_000, total - 1] {
+        let req = DetectRequest::tools(&tools).budget(Budget::default().with_max_events(k));
+        match same_failure(req) {
+            Some(EngineError::BudgetExhausted {
+                resource: BudgetResource::Events,
+                limit,
+                used,
+                partial,
+            }) => {
+                assert_eq!((limit, used, partial.events_processed), (k, total, k));
+            }
+            other => panic!("max_events {k}: expected an event-budget error, got {other:?}"),
+        }
+    }
+    let (mut mid_stream_trips, mut fits) = (0, 0);
+    for b in (8..16).map(|s| 1usize << s).chain([usize::MAX - 1]) {
+        let budget = Budget::default().with_max_shadow_bytes(b);
+        match same_failure(DetectRequest::tools(&tools).budget(budget)) {
+            Some(EngineError::BudgetExhausted {
+                resource: BudgetResource::ShadowBytes,
+                partial,
+                ..
+            }) => {
+                if partial.events_processed > 0 && partial.events_processed < total {
+                    mid_stream_trips += 1;
+                }
+            }
+            None => fits += 1,
+            other => panic!("max_shadow_bytes {b}: expected a shadow error, got {other:?}"),
+        }
+        // With an event budget too, whichever trips first trips on both.
+        let budget = budget.with_max_events(total / 2);
+        assert!(same_failure(DetectRequest::tools(&tools).budget(budget)).is_some());
+    }
+    assert!(mid_stream_trips >= 2, "the grid must trip mid-stream");
+    assert!(
+        fits >= 1,
+        "the grid must hold a budget the stream fits under"
+    );
+    assert_eq!(
+        same_failure(DetectRequest::tools(&tools).watchdog(Duration::ZERO)),
+        Some(EngineError::Watchdog { limit_ms: 0 })
+    );
+}

@@ -5,8 +5,8 @@
 //! described report lists (content and order), same detector metrics,
 //! same promotion counts. This is the determinism guarantee the CI
 //! `replay-determinism` job re-checks end-to-end through the `trace`
-//! CLI, and the property that lets harnesses pick a worker count from
-//! the machine without perturbing a single table number.
+//! CLI, and the property that lets a caller pick any worker count
+//! without perturbing a single table number.
 
 use proptest::prelude::*;
 use spinrace::core::{Analyzer, DetectRequest, Session, Tool};
@@ -119,7 +119,7 @@ proptest! {
             prop_assert_eq!(&sequential.metrics, &live.metrics, "live metrics under {}", &label);
 
             // Parallel replay ≡ sequential replay, for every worker count
-            // (1 takes the sequential fast path — the engine-forced
+            // (1 takes the sequential pass — the engine-forced
             // 1-worker machinery is pinned in `spinrace_core::parallel`'s
             // own tests; 3 leaves a worker owning a ragged shard subset;
             // 8 is one per shard).
@@ -158,6 +158,43 @@ proptest! {
                 let par_drd = run.run(&DetectRequest::tool(Tool::Drd).parallel(4)).into_single();
                 prop_assert_eq!(par_drd.contexts, seq_drd.contexts);
                 prop_assert_eq!(&par_drd.metrics, &seq_drd.metrics);
+            }
+        }
+    }
+}
+
+/// The whole drt suite through the worker pool: for every case and
+/// every tool of the paper lineup, replay at 2 and 8 workers gives the
+/// sequential pass's contexts, reports and metrics. (The suite harness
+/// itself replays sequentially, so the tables no longer exercise the
+/// pool.)
+#[test]
+fn drt_suite_replays_identically_at_two_and_eight_workers() {
+    for case in spinrace::suites::all_cases() {
+        let session = Session::for_module(&case.module).cap(spinrace::suites::harness::DRT_CAP);
+        for tool in Tool::paper_lineup() {
+            let run = session.prepare(tool).unwrap().execute().unwrap();
+            let sequential = run.run(&DetectRequest::own().sequential()).into_single();
+            for workers in [2usize, 8] {
+                let par = run
+                    .run(&DetectRequest::own().parallel(workers))
+                    .into_single();
+                let what = format!(
+                    "case {} under {} at {workers} workers",
+                    case.id,
+                    tool.label()
+                );
+                assert_eq!(par.contexts, sequential.contexts, "{what}");
+                assert_eq!(par.reports.len(), sequential.reports.len(), "{what}");
+                for (a, b) in par.reports.iter().zip(&sequential.reports) {
+                    assert_eq!(a.location, b.location, "{what}");
+                    assert_eq!(a.report, b.report, "{what}");
+                }
+                assert_eq!(par.metrics, sequential.metrics, "{what}");
+                assert_eq!(
+                    par.promoted_locations, sequential.promoted_locations,
+                    "{what}"
+                );
             }
         }
     }

@@ -103,7 +103,7 @@ fn check_predictive(wl: &Workload, session: &Session) -> Result<(), TestCaseErro
 
     // A parallel request for the sequential-only predictive pass is a
     // structured refusal, not a silent downgrade. (`workers <= 1` is
-    // the engine's sequential fast path and stays allowed.)
+    // the sequential pass and stays allowed.)
     for workers in [2usize, 8] {
         let err = run
             .try_run(&DetectRequest::own().parallel(workers))
