@@ -10,15 +10,28 @@
 //! [`ReadState`] (inline epoch until genuinely concurrent readers appear),
 //! and shadow state lives in the flat paged [`ShadowTable`]. The race-free
 //! fast paths perform **no `VectorClock` clone and no heap allocation**;
-//! the racy slow path reuses a persistent scratch buffer. Semantics are
-//! bit-for-bit those of the retained [`crate::ReferenceDetector`] — the
-//! differential proptest in `tests/epoch_equivalence.rs` holds the two to
-//! identical reports.
+//! the racy slow path reuses a persistent scratch buffer. Each plain
+//! access looks its shadow cell up once, racy or not.
+//!
+//! A read of a promoted (`Shared`) cell — almost every read of a hot word
+//! that several threads read — has an O(1) *restamp exit*: when the
+//! reader's entry already holds the new record, the cell's set of records
+//! has not changed since that reader last pruned it, and the reader's
+//! clock has not grown since (a per-thread generation, `grown`, set at
+//! every join into a thread clock), the reference's prune-then-append
+//! would remove that one entry and append it again. The exit gives the
+//! entry a new arrival stamp instead, touching nothing else; the racy-write
+//! slow path sorts its read candidates by stamp, which is the only place
+//! read order shows. Every other shared read prunes and inserts as the
+//! reference does. Semantics are bit-for-bit those of the retained
+//! [`crate::ReferenceDetector`] — the differential tests in
+//! `tests/epoch_equivalence.rs`, one of them built to drive the restamp
+//! exit and its guards, hold the two to identical reports.
 
 use crate::config::{DetectorConfig, MsmMode};
 use crate::lockset::{LocksetId, LocksetTable};
 use crate::report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
-use crate::shadow::{AccessRecord, ReadState, ShadowTable};
+use crate::shadow::{find_reader, AccessRecord, ReadEntry, ReadState, ShadowCell, ShadowTable};
 use crate::sharded::{
     emit_report, LocksetOp, PromotionSeeds, ShardSpec, WorkerFragment, WorkerState,
 };
@@ -50,8 +63,17 @@ pub struct RaceDetector {
     sync_loc: FxHashMap<u64, VectorClock>,
     /// Shadow memory: flat paged/sharded direct map.
     shadow: ShadowTable,
+    /// Arrival-stamp counter of the shared read vectors (see
+    /// [`ReadState`]); renumbered before it can wrap.
+    stamp: u32,
+    /// Per thread: the stamp counter's value at the last join into its
+    /// clock. A shared-read entry stamped after it was pushed by the
+    /// thread's current clock.
+    grown: Vec<u32>,
+    /// Plain reads by read-state variant (diagnostics, never serialized).
+    read_counts: ReadPathCounts,
     /// Racy-write slow-path scratch (kept to avoid per-event allocation).
-    read_scratch: Vec<AccessRecord>,
+    read_scratch: Vec<ReadEntry>,
     reports: ReportCollector,
     events_seen: u64,
     /// Sharded-replay worker bookkeeping (`None` when running the whole
@@ -75,6 +97,9 @@ impl RaceDetector {
             atomic_vc: FxHashMap::default(),
             sync_loc: FxHashMap::default(),
             shadow: ShadowTable::new(),
+            stamp: 0,
+            grown: vec![0],
+            read_counts: ReadPathCounts::default(),
             read_scratch: Vec::new(),
             reports: ReportCollector::new(cfg.context_cap),
             events_seen: 0,
@@ -203,6 +228,13 @@ impl RaceDetector {
         self.sync_loc.len()
     }
 
+    /// Plain reads so far, by the read state their cell was in, and the
+    /// shared reads that took the restamp exit. Diagnostics only: not part
+    /// of any outcome or metrics serialization.
+    pub fn read_counts(&self) -> ReadPathCounts {
+        self.read_counts
+    }
+
     // ---- state accessors for metrics ----
 
     /// Per-thread clocks (metrics).
@@ -258,7 +290,27 @@ impl RaceDetector {
             self.vcs.push(initial_vc());
             self.locks_held.push(Vec::new());
             self.held_ids.push(LocksetId::EMPTY);
+            self.grown.push(0);
         }
+    }
+
+    /// Note that `t`'s clock may have grown by a join: its shared-read
+    /// entries pushed before now must prune again before they can take
+    /// the restamp exit. Every join into a thread clock calls this, also
+    /// where the thread then ticks (a spawned child, a DRD read-modify-
+    /// write) and the tick alone would already change its next records.
+    #[inline]
+    fn clock_grew(&mut self, t: ThreadId) {
+        self.grown[t as usize] = self.stamp;
+    }
+
+    /// Restart the stamp counter before it wraps (see
+    /// [`ShadowTable::renumber_read_stamps`]). Every entry is blocked
+    /// afterwards, so resetting the generations cannot create a hit.
+    #[cold]
+    fn renumber_stamps(&mut self) {
+        self.stamp = self.shadow.renumber_read_stamps();
+        self.grown.fill(0);
     }
 
     /// Promote `addr` to a synchronization location, seeding its release
@@ -292,85 +344,54 @@ impl RaceDetector {
         self.sync_loc.contains_key(&addr)
     }
 
-    /// Record an HB race, honouring the long-MSM gating. Returns whether a
-    /// race was **detected** (passed the MSM gate) — deliberately *not*
-    /// whether the collector kept it: the caller's Eraser-stage gating must
-    /// depend only on per-location state, never on the global dedup/cap
-    /// state, so that sharded parallel replay stays order-independent.
-    #[allow(clippy::too_many_arguments)]
-    fn report_hb(
-        &mut self,
-        addr: u64,
-        prior: AccessRecord,
-        prior_is_write: bool,
-        tid: ThreadId,
-        pc: Pc,
-        stack: u64,
-        is_write: bool,
-    ) -> bool {
-        if let Some(MsmMode::Long) = self.cfg.msm() {
-            let cell = self.shadow.cell(addr);
-            cell.suspicions = cell.suspicions.saturating_add(1);
-            if cell.suspicions < 2 {
-                return false;
-            }
-        }
-        let kind = match (prior_is_write, is_write) {
-            (true, true) => RaceKind::WriteWrite,
-            (true, false) => RaceKind::WriteRead,
-            (false, true) => RaceKind::ReadWrite,
-            (false, false) => unreachable!("read-read is never a race"),
-        };
-        emit_report(
-            &mut self.reports,
-            self.worker.as_deref_mut(),
-            RaceReport {
-                addr,
-                prior: AccessSummary {
-                    tid: prior.tid,
-                    pc: prior.pc,
-                    stack: prior.stack,
-                    is_write: prior_is_write,
-                },
-                current: AccessSummary {
-                    tid,
-                    pc,
-                    stack,
-                    is_write,
-                },
-                kind,
-            },
-        );
-        true
-    }
-
     fn on_plain_read(&mut self, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
         if !self.owns(addr) {
             return;
         }
+        if self.stamp > u32::MAX - 2 {
+            self.renumber_stamps();
+        }
         let ti = tid as usize;
+        let vc = &self.vcs[ti];
         let rec = AccessRecord {
             tid,
-            clock: self.vcs[ti].get(tid),
+            clock: vc.get(tid),
             pc,
             stack,
         };
-        let vc = &self.vcs[ti];
         let cell = self.shadow.cell(addr);
         // Race check: unordered prior write — one epoch compare against
         // the *borrowed* thread clock, never a clone.
         let racy_write = cell
             .last_write
             .filter(|w| !vc.covers(Epoch::new(w.tid, w.clock)));
-        match racy_write {
-            // Fast path (race-free read): fold into the adaptive state.
-            None => push_read(&mut cell.reads, rec, vc),
-            // Racy read: report first (the reference's order), then update.
-            Some(w) => {
-                self.report_hb(addr, w, true, tid, pc, stack, false);
-                let vc = &self.vcs[ti];
-                push_read(&mut self.shadow.cell(addr).reads, rec, vc);
-            }
+        push_read(
+            &mut cell.reads,
+            rec,
+            vc,
+            self.grown[ti],
+            &mut self.stamp,
+            &mut self.read_counts,
+        );
+        // The report touches neither the read state nor the clocks, so
+        // reporting after the fold (on the same cell) is the reference's
+        // report-then-update.
+        if let Some(w) = racy_write {
+            let current = AccessSummary {
+                tid,
+                pc,
+                stack,
+                is_write: false,
+            };
+            report_hb(
+                self.cfg,
+                cell,
+                &mut self.reports,
+                self.worker.as_deref_mut(),
+                addr,
+                (w, true),
+                current,
+            );
         }
     }
 
@@ -391,11 +412,8 @@ impl RaceDetector {
         let racy_write = cell
             .last_write
             .filter(|w| !vc.covers(Epoch::new(w.tid, w.clock)));
-        let any_racy_read = cell
-            .reads
-            .as_slice()
-            .iter()
-            .any(|r| r.tid != tid && !vc.covers(Epoch::new(r.tid, r.clock)));
+        let is_racy_read = |t: u32, clock: u32| t != tid && !vc.covers(Epoch::new(t, clock));
+        let any_racy_read = cell.reads.any(is_racy_read);
 
         if racy_write.is_none() && !any_racy_read {
             // Fast path (race-free write, including the same-epoch and
@@ -421,25 +439,46 @@ impl RaceDetector {
         }
 
         // Slow path: copy the racy candidates into the persistent scratch
-        // (no per-event allocation once warmed), report in the reference
-        // detector's order, then update.
+        // (no per-event allocation once warmed) and put them in arrival
+        // order, report in the reference detector's order, then update —
+        // all on the one cell looked up above.
         self.read_scratch.clear();
-        for r in cell.reads.as_slice() {
-            if r.tid != tid && !vc.covers(Epoch::new(r.tid, r.clock)) {
-                self.read_scratch.push(*r);
-            }
-        }
+        self.read_scratch.extend(
+            cell.reads
+                .entries()
+                .filter(|r| is_racy_read(r.tid, r.clock)),
+        );
+        self.read_scratch.sort_unstable_by_key(|r| r.stamp);
+        let current = AccessSummary {
+            tid,
+            pc,
+            stack,
+            is_write: true,
+        };
         let mut hb_reported = false;
         if let Some(w) = racy_write {
-            hb_reported |= self.report_hb(addr, w, true, tid, pc, stack, true);
+            hb_reported |= report_hb(
+                self.cfg,
+                cell,
+                &mut self.reports,
+                self.worker.as_deref_mut(),
+                addr,
+                (w, true),
+                current,
+            );
         }
-        let scratch = std::mem::take(&mut self.read_scratch);
-        for &r in &scratch {
-            hb_reported |= self.report_hb(addr, r, false, tid, pc, stack, true);
+        for r in &self.read_scratch {
+            hb_reported |= report_hb(
+                self.cfg,
+                cell,
+                &mut self.reports,
+                self.worker.as_deref_mut(),
+                addr,
+                (r.record(), false),
+                current,
+            );
         }
-        self.read_scratch = scratch;
 
-        let cell = self.shadow.cell(addr);
         if has_lockset && !hb_reported {
             let cur = self.held_ids[ti];
             eraser_update(
@@ -468,8 +507,55 @@ impl RaceDetector {
     fn acquire_sync_loc(&mut self, tid: ThreadId, addr: u64) {
         if let Some(lvc) = self.sync_loc.get(&addr) {
             self.vcs[tid as usize].join(lvc);
+            self.clock_grew(tid);
         }
     }
+}
+
+/// Record an HB race of `prior` (a write when its flag is set) against
+/// the `current` access to `cell`'s address, honouring the long-MSM
+/// gating. Returns whether a race was **detected** (passed the MSM gate)
+/// — deliberately *not* whether the collector kept it: the caller's
+/// Eraser-stage gating must depend only on per-location state, never on
+/// the global dedup/cap state, so that sharded parallel replay stays
+/// order-independent.
+fn report_hb(
+    cfg: DetectorConfig,
+    cell: &mut ShadowCell,
+    reports: &mut ReportCollector,
+    worker: Option<&mut WorkerState>,
+    addr: u64,
+    (prior, prior_is_write): (AccessRecord, bool),
+    current: AccessSummary,
+) -> bool {
+    if let Some(MsmMode::Long) = cfg.msm() {
+        cell.suspicions = cell.suspicions.saturating_add(1);
+        if cell.suspicions < 2 {
+            return false;
+        }
+    }
+    let kind = match (prior_is_write, current.is_write) {
+        (true, true) => RaceKind::WriteWrite,
+        (true, false) => RaceKind::WriteRead,
+        (false, true) => RaceKind::ReadWrite,
+        (false, false) => unreachable!("read-read is never a race"),
+    };
+    emit_report(
+        reports,
+        worker,
+        RaceReport {
+            addr,
+            prior: AccessSummary {
+                tid: prior.tid,
+                pc: prior.pc,
+                stack: prior.stack,
+                is_write: prior_is_write,
+            },
+            current,
+            kind,
+        },
+    );
+    true
 }
 
 /// Eraser stage of a plain write (hybrid only): intersect the cell's
@@ -534,31 +620,100 @@ fn eraser_update(
     *write_lockset = Some(new_state);
 }
 
-/// Fold a race-free read into the adaptive read state, preserving the
-/// reference detector's `retain`-then-`push` list semantics:
+/// Plain reads counted by the read state their cell was in when they
+/// arrived, plus the shared reads that took the restamp exit. Every
+/// plain read, racy or not, lands in exactly one of the first three.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReadPathCounts {
+    /// Reads of a cell with no reads since its last write.
+    pub empty: u64,
+    /// Reads of a cell holding one inline record.
+    pub exclusive: u64,
+    /// Reads of a cell promoted to a read vector.
+    pub shared: u64,
+    /// Of `shared`: reads that only restamped the reader's entry.
+    pub shared_exits: u64,
+}
+
+/// Fold a read into the adaptive read state, preserving the reference
+/// detector's `retain`-then-`push` list semantics:
 ///
 /// * `None` → the reader owns the cell (`Exclusive`);
 /// * `Exclusive` whose record is ordered before the new read (same thread,
 ///   or covered by the reader's clock) → overwrite in place, O(1);
 /// * `Exclusive` genuinely concurrent with the new read → promote to the
 ///   `Shared` vector (the only allocating transition);
-/// * `Shared` → prune covered entries, append (exactly the reference).
+/// * `Shared`, when the reader's entry already holds `rec`, was stamped
+///   after the set last changed, and after the reader's clock last grew
+///   (`grown`) → the prune would remove that entry alone, so the
+///   retain-then-push only makes it the newest: restamp it, O(1) and with
+///   no memory movement;
+/// * any other `Shared` read → prune covered entries, insert the new
+///   entry (newest stamp) at its thread's place, and mark the set changed
+///   unless the prune removed only an identical entry of the reader's
+///   own.
+///
+/// `stamp` is the detector's stamp counter; the caller keeps it at least
+/// 2 below `u32::MAX`.
 #[inline]
-fn push_read(reads: &mut ReadState, rec: AccessRecord, vc: &VectorClock) {
+fn push_read(
+    reads: &mut ReadState,
+    rec: AccessRecord,
+    vc: &VectorClock,
+    grown: u32,
+    stamp: &mut u32,
+    counts: &mut ReadPathCounts,
+) {
     match reads {
-        ReadState::None => *reads = ReadState::Exclusive(rec),
+        ReadState::None => {
+            counts.empty += 1;
+            *reads = ReadState::Exclusive(rec);
+        }
         ReadState::Exclusive(r) => {
+            counts.exclusive += 1;
             if *r == rec {
                 // Same epoch, same site: nothing changes.
             } else if r.tid == rec.tid || vc.covers(Epoch::new(r.tid, r.clock)) {
                 *r = rec;
             } else {
-                *reads = ReadState::Shared(vec![*r, rec]);
+                // `r`'s reader never pruned this set: its entry starts
+                // at the marker, so it cannot take the exit.
+                let first = ReadEntry::new(*r, *stamp + 1);
+                let second = ReadEntry::new(rec, *stamp + 2);
+                *stamp += 2;
+                *reads = ReadState::Shared {
+                    reads: if first.tid < second.tid {
+                        vec![first, second]
+                    } else {
+                        vec![second, first]
+                    },
+                    changed: first.stamp,
+                };
             }
         }
-        ReadState::Shared(v) => {
-            v.retain(|r| !vc.covers(Epoch::new(r.tid, r.clock)));
-            v.push(rec);
+        ReadState::Shared { reads, changed } => {
+            counts.shared += 1;
+            // The reader's entry, if it already holds this record.
+            let same = find_reader(reads, rec.tid).filter(|&i| reads[i].holds(&rec));
+            if let Some(i) = same {
+                let e = &mut reads[i];
+                if e.stamp > *changed && e.stamp > grown {
+                    counts.shared_exits += 1;
+                    *stamp += 1;
+                    e.stamp = *stamp;
+                    return;
+                }
+            }
+            let before = reads.len();
+            reads.retain(|r| !vc.covers(Epoch::new(r.tid, r.clock)));
+            // The reader's own entry is always covered, so an unchanged
+            // set means exactly one removal, of an identical record.
+            if !(same.is_some() && reads.len() + 1 == before) {
+                *changed = *stamp;
+            }
+            *stamp += 1;
+            let at = reads.partition_point(|e| e.tid < rec.tid);
+            reads.insert(at, ReadEntry::new(rec, *stamp));
         }
     }
 }
@@ -594,6 +749,7 @@ impl RaceDetector {
                 let cvc = &mut self.vcs[child as usize];
                 cvc.join(&pvc);
                 cvc.tick(child);
+                self.clock_grew(child);
                 self.vcs[parent as usize].tick(parent);
             }
             Event::Join { parent, child, .. } => {
@@ -601,6 +757,7 @@ impl RaceDetector {
                 self.ensure_thread(child);
                 let cvc = self.vcs[child as usize].clone();
                 self.vcs[parent as usize].join(&cvc);
+                self.clock_grew(parent);
             }
             Event::ThreadEnd { .. } => {}
 
@@ -629,6 +786,7 @@ impl RaceDetector {
                         if ord.acquires() {
                             if let Some(avc) = self.atomic_vc.get(&addr) {
                                 self.vcs[tid as usize].join(avc);
+                                self.clock_grew(tid);
                             }
                         }
                         return;
@@ -685,6 +843,7 @@ impl RaceDetector {
                     self.vcs[tid as usize].join(avc);
                     avc.join(&self.vcs[tid as usize]);
                     self.vcs[tid as usize].tick(tid);
+                    self.clock_grew(tid);
                     return;
                 }
                 // Library-knowledge-only hybrid: an RMW is just a plain
@@ -699,6 +858,7 @@ impl RaceDetector {
                 if self.cfg.lib {
                     if let Some(mvc) = self.mutex_vc.get(&mutex) {
                         self.vcs[tid as usize].join(mvc);
+                        self.clock_grew(tid);
                     }
                     let held = &mut self.locks_held[tid as usize];
                     if let Err(i) = held.binary_search(&mutex) {
@@ -739,6 +899,7 @@ impl RaceDetector {
                 if self.cfg.lib {
                     if let Some(cvc) = self.cv_vc.get(&cv) {
                         self.vcs[tid as usize].join(cvc);
+                        self.clock_grew(tid);
                     }
                 }
             }
@@ -759,6 +920,7 @@ impl RaceDetector {
                 if self.cfg.lib {
                     if let Some(bvc) = self.barrier_vc.get(&(barrier, gen)) {
                         self.vcs[tid as usize].join(bvc);
+                        self.clock_grew(tid);
                     }
                 }
             }
@@ -775,6 +937,7 @@ impl RaceDetector {
                 if self.cfg.lib {
                     if let Some(svc) = self.sem_vc.get(&sem) {
                         self.vcs[tid as usize].join(svc);
+                        self.clock_grew(tid);
                     }
                 }
             }
@@ -1259,6 +1422,123 @@ mod tests {
         read(&mut d, 1, b, 5);
         read(&mut d, 2, a, 6);
         assert_eq!(d.racy_contexts(), 0);
+    }
+
+    fn lock(det: &mut RaceDetector, tid: u32, mutex: u64, unlock: bool) {
+        det.on_event(&if unlock {
+            Event::MutexUnlock {
+                tid,
+                mutex,
+                pc: pc(50),
+            }
+        } else {
+            Event::MutexLock {
+                tid,
+                mutex,
+                pc: pc(51),
+            }
+        });
+    }
+
+    #[test]
+    fn read_counts_follow_the_read_state() {
+        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+        spawn(&mut d, 0, 1);
+        spawn(&mut d, 0, 2);
+        let x = 0x1000;
+        read(&mut d, 1, x, 1); // empty → exclusive
+        read(&mut d, 1, x, 1); // same epoch
+        read(&mut d, 2, x, 2); // promotes; 1's entry starts blocked
+        read(&mut d, 1, x, 1); // prunes only itself: set unchanged
+        read(&mut d, 1, x, 1); // exit
+        read(&mut d, 2, x, 2); // exit
+        lock(&mut d, 2, 0x2000, true);
+        lock(&mut d, 1, 0x2000, false); // 1's clock grew: now covers 2's read
+        read(&mut d, 1, x, 1); // prunes 2's entry too
+        read(&mut d, 2, x, 2); // new entry: set changed
+        read(&mut d, 2, x, 2); // exit
+        read(&mut d, 1, x, 1); // its entry predates 2's: prunes again
+        read(&mut d, 1, x, 1); // exit
+        read(&mut d, 2, x, 2); // exit
+        read(&mut d, 1, x, 1); // exit: 1 is newest, though stored first
+        write(&mut d, 0, x, 3); // races with both readers, clears the set
+        read(&mut d, 1, x, 1); // still a (now empty) vector
+        assert_eq!(
+            d.read_counts(),
+            ReadPathCounts {
+                empty: 1,
+                exclusive: 2,
+                shared: 11,
+                shared_exits: 6,
+            }
+        );
+        let kinds: Vec<(u32, RaceKind)> = d
+            .reports()
+            .reports()
+            .iter()
+            .map(|r| (r.prior.tid, r.kind))
+            .collect();
+        // Reads are reported in arrival order, not storage order; the
+        // last read then races with the write.
+        assert_eq!(
+            kinds,
+            [
+                (2, RaceKind::ReadWrite),
+                (1, RaceKind::ReadWrite),
+                (0, RaceKind::WriteRead)
+            ]
+        );
+    }
+
+    #[test]
+    fn stamp_counter_renumbers_before_it_wraps() {
+        let cfg = DetectorConfig::helgrind_lib(MsmMode::Long);
+        let mut d = RaceDetector::new(cfg);
+        let mut reference = crate::ReferenceDetector::new(cfg);
+        let mut both = |d: &mut RaceDetector, ev: Event| {
+            d.on_event(&ev);
+            reference.on_event(&ev);
+        };
+        for t in 1..4 {
+            both(
+                &mut d,
+                Event::Spawn {
+                    parent: 0,
+                    child: t,
+                    pc: pc(0),
+                },
+            );
+        }
+        d.stamp = u32::MAX - 40;
+        let rd = |tid, addr| Event::Read {
+            tid,
+            addr,
+            value: 0,
+            pc: pc(tid),
+            stack: 0,
+            atomic: None,
+            spin: None,
+        };
+        for round in 0..30u64 {
+            for t in [3, 1, 2] {
+                both(&mut d, rd(t, 0x1000 + round % 2));
+            }
+            if round % 7 == 6 {
+                let w = Event::Write {
+                    tid: (round % 3) as u32 + 1,
+                    addr: 0x1000,
+                    value: 1,
+                    pc: pc(9),
+                    stack: 0,
+                    atomic: None,
+                };
+                both(&mut d, w);
+            }
+        }
+        assert!(d.stamp < 1000, "the counter restarted low: {}", d.stamp);
+        assert!(d.read_counts().shared_exits > 0);
+        assert_eq!(d.reports().reports(), reference.reports().reports());
+        assert!(d.racy_contexts() > 0);
     }
 
     #[test]

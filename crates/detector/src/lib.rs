@@ -55,7 +55,7 @@ pub mod vc;
 
 pub use any::AnyDetector;
 pub use config::{DetectorConfig, DetectorKind, MsmMode};
-pub use detector::RaceDetector;
+pub use detector::{RaceDetector, ReadPathCounts};
 pub use lockset::{LocksetId, LocksetTable};
 pub use metrics::DetectorMetrics;
 pub use predict::SyncPreservingDetector;

@@ -7,7 +7,9 @@
 //!   most locations are only ever read by one thread at a time (or by
 //!   threads that are ordered). Such locations keep a single inline
 //!   [`AccessRecord`]; only a *genuinely concurrent* second reader promotes
-//!   the cell to a heap-allocated read vector.
+//!   the cell to a heap-allocated read vector. Its entries carry arrival
+//!   stamps in the record's padding, so a reader re-reading with nothing
+//!   new to prune moves its entry to the end by restamping it.
 //! * **Paged, sharded table** ([`ShadowTable`]) — instead of one SipHash
 //!   `HashMap<addr, cell>` lookup per access, addresses map to 64-cell
 //!   pages; pages live in per-shard arenas indexed by a flat open-addressed
@@ -32,12 +34,84 @@ pub struct AccessRecord {
     pub stack: u64,
 }
 
+/// One entry of a promoted read vector: an [`AccessRecord`] plus its
+/// arrival stamp, which fills the record's four padding bytes (the entry
+/// is exactly as large as the record).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReadEntry {
+    /// Reading thread.
+    pub tid: u32,
+    /// That thread's clock component at read time.
+    pub clock: u32,
+    /// Static location.
+    pub pc: Pc,
+    /// Arrival stamp: entries of one vector are in arrival order when
+    /// sorted by stamp. Drawn from the detector's stamp counter, so
+    /// stamps of one vector are distinct.
+    pub stamp: u32,
+    /// Call-chain hash (Helgrind-style context).
+    pub stack: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<ReadEntry>() == std::mem::size_of::<AccessRecord>());
+
+impl ReadEntry {
+    /// `rec`, arrived at `stamp`.
+    #[inline]
+    pub fn new(rec: AccessRecord, stamp: u32) -> ReadEntry {
+        ReadEntry {
+            tid: rec.tid,
+            clock: rec.clock,
+            pc: rec.pc,
+            stamp,
+            stack: rec.stack,
+        }
+    }
+
+    /// The record, without its stamp.
+    #[inline]
+    pub fn record(&self) -> AccessRecord {
+        AccessRecord {
+            tid: self.tid,
+            clock: self.clock,
+            pc: self.pc,
+            stack: self.stack,
+        }
+    }
+
+    /// Does this entry hold exactly `rec` (stamp aside)?
+    #[inline]
+    pub fn holds(&self, rec: &AccessRecord) -> bool {
+        self.tid == rec.tid
+            && self.clock == rec.clock
+            && self.pc == rec.pc
+            && self.stack == rec.stack
+    }
+}
+
 /// Reads since the last write that are still concurrent-relevant.
 ///
 /// `Exclusive` is the epoch fast path: one inline record, overwritten in
 /// place while successive readers are ordered. The first pair of genuinely
-/// concurrent reads promotes to `Shared`, which behaves exactly like the
-/// reference detector's read vector (covered entries pruned lazily).
+/// concurrent reads promotes to `Shared`, which holds the same set of
+/// records as the reference detector's read vector (covered entries pruned
+/// lazily), at most one per thread.
+///
+/// In `Shared`, the reference's *order* is carried by the entries'
+/// arrival stamps, not by their positions: moving an entry to the end of
+/// the reference vector is a new stamp, with no memory movement. The
+/// entries are stored sorted by thread, so a reader finds its own entry
+/// in O(1) when the cell's readers are consecutive threads (the usual
+/// case: a hot word read by every worker) and in O(log readers)
+/// otherwise.
+///
+/// `changed` is the stamp counter's value at the last change of the
+/// *set* of records. An entry whose stamp is above it was pushed (after
+/// pruning) by a reader that has seen every record since; if that
+/// reader's clock has not grown since either, its next identical read
+/// prunes nothing but its own entry, so it only restamps the entry. A
+/// re-push of an identical record leaves the set, and `changed`, as they
+/// were.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum ReadState {
     /// No reads since the last write.
@@ -45,19 +119,50 @@ pub enum ReadState {
     None,
     /// All reads so far were ordered: only the latest matters.
     Exclusive(AccessRecord),
-    /// Concurrent readers: the full vector (in arrival order).
-    Shared(Vec<AccessRecord>),
+    /// Concurrent readers: the full vector (arrival order = stamp order).
+    Shared {
+        /// The live entries, sorted by thread.
+        reads: Vec<ReadEntry>,
+        /// Stamp counter value at the last change of the set of records.
+        changed: u32,
+    },
+}
+
+/// Position of `tid`'s entry in a promoted read vector (sorted by
+/// thread, one entry per thread). The first guess assumes the readers
+/// are consecutive threads; otherwise a binary search.
+#[inline]
+pub(crate) fn find_reader(reads: &[ReadEntry], tid: u32) -> Option<usize> {
+    let guess = tid.wrapping_sub(reads.first()?.tid) as usize;
+    match reads.get(guess) {
+        Some(e) if e.tid == tid => Some(guess),
+        _ => reads.binary_search_by_key(&tid, |e| e.tid).ok(),
+    }
 }
 
 impl ReadState {
-    /// The live records, oldest first (the reference detector's `reads`
-    /// vector, whatever the representation).
+    /// The live records with their arrival stamps, in storage order (an
+    /// exclusive record has stamp 0). Sorting by stamp gives the order of
+    /// the reference detector's `reads` vector.
     #[inline]
-    pub fn as_slice(&self) -> &[AccessRecord] {
+    pub fn entries(&self) -> impl Iterator<Item = ReadEntry> + '_ {
+        let (one, many): (Option<&AccessRecord>, &[ReadEntry]) = match self {
+            ReadState::None => (None, &[]),
+            ReadState::Exclusive(r) => (Some(r), &[]),
+            ReadState::Shared { reads, .. } => (None, reads),
+        };
+        one.map(|r| ReadEntry::new(*r, 0))
+            .into_iter()
+            .chain(many.iter().copied())
+    }
+
+    /// Does any live record, given as `(tid, clock)`, satisfy `f`?
+    #[inline]
+    pub fn any(&self, mut f: impl FnMut(u32, u32) -> bool) -> bool {
         match self {
-            ReadState::None => &[],
-            ReadState::Exclusive(r) => std::slice::from_ref(r),
-            ReadState::Shared(v) => v,
+            ReadState::None => false,
+            ReadState::Exclusive(r) => f(r.tid, r.clock),
+            ReadState::Shared { reads, .. } => reads.iter().any(|e| f(e.tid, e.clock)),
         }
     }
 
@@ -68,20 +173,39 @@ impl ReadState {
         match self {
             ReadState::None => {}
             ReadState::Exclusive(_) => *self = ReadState::None,
-            ReadState::Shared(v) => v.clear(),
+            ReadState::Shared { reads, .. } => reads.clear(),
         }
     }
 
     /// Is the state promoted to a read vector?
     pub fn is_shared(&self) -> bool {
-        matches!(self, ReadState::Shared(_))
+        matches!(self, ReadState::Shared { .. })
     }
 
     /// Heap bytes retained beyond the inline enum (memory metrics).
     #[inline]
     pub fn heap_bytes(&self) -> usize {
         match self {
-            ReadState::Shared(v) => v.capacity() * std::mem::size_of::<AccessRecord>(),
+            ReadState::Shared { reads, .. } => reads.capacity() * std::mem::size_of::<ReadEntry>(),
+            _ => 0,
+        }
+    }
+
+    /// Renumber a read vector's stamps to `1..=len`, keeping their order,
+    /// and mark its set changed so that no entry can take the restamp
+    /// exit before its reader prunes again. Returns the largest stamp
+    /// now in use (0 when not promoted).
+    fn renumber(&mut self) -> u32 {
+        match self {
+            ReadState::Shared { reads, changed } => {
+                reads.sort_unstable_by_key(|e| e.stamp);
+                for (e, s) in reads.iter_mut().zip(1..) {
+                    e.stamp = s;
+                }
+                reads.sort_unstable_by_key(|e| e.tid);
+                *changed = reads.len() as u32;
+                *changed
+            }
             _ => 0,
         }
     }
@@ -308,6 +432,21 @@ impl ShadowTable {
         Some(&self.shards[si].pages[slot as usize].cells[off])
     }
 
+    /// Renumber the arrival stamps of every read vector to `1..=len`
+    /// (order kept) and block every restamp exit until its reader prunes
+    /// again; see [`ReadState`]. Returns the largest stamp still in use,
+    /// from which the stamp counter restarts. O(allocated pages): called
+    /// only when the counter would otherwise wrap.
+    pub(crate) fn renumber_read_stamps(&mut self) -> u32 {
+        self.shards
+            .iter_mut()
+            .flat_map(|s| s.pages.iter_mut())
+            .flat_map(|p| p.cells.iter_mut())
+            .map(|c| c.reads.renumber())
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Number of allocated pages.
     pub fn page_count(&self) -> usize {
         self.shards.iter().map(|s| s.pages.len()).sum()
@@ -360,11 +499,87 @@ mod tests {
         }
     }
 
+    /// The live records, oldest first: the reference detector's `reads`
+    /// vector.
+    fn records(r: &ReadState) -> Vec<AccessRecord> {
+        let mut v: Vec<ReadEntry> = r.entries().collect();
+        v.sort_unstable_by_key(|e| e.stamp);
+        v.iter().map(ReadEntry::record).collect()
+    }
+
+    fn shared(entries: &[(AccessRecord, u32)], changed: u32) -> ReadState {
+        ReadState::Shared {
+            reads: entries.iter().map(|&(r, s)| ReadEntry::new(r, s)).collect(),
+            changed,
+        }
+    }
+
+    #[test]
+    fn set_change_marker_costs_no_cell_bytes() {
+        // The marker sits beside the vector, inside the space the inline
+        // `Exclusive` record needs anyway.
+        assert_eq!(
+            std::mem::size_of::<ReadState>(),
+            std::mem::size_of::<Option<AccessRecord>>()
+        );
+    }
+
+    #[test]
+    fn find_reader_guesses_then_searches() {
+        let entries = |tids: &[u32]| -> Vec<ReadEntry> {
+            tids.iter().map(|&t| ReadEntry::new(rec(t, 1), t)).collect()
+        };
+        let dense = entries(&[1, 2, 3, 4]);
+        assert_eq!(find_reader(&dense, 3), Some(2));
+        assert_eq!(find_reader(&dense, 0), None);
+        assert_eq!(find_reader(&dense, 9), None);
+        let sparse = entries(&[0, 4, 5, 9]);
+        assert_eq!(find_reader(&sparse, 4), Some(1));
+        assert_eq!(find_reader(&sparse, 9), Some(3));
+        assert_eq!(find_reader(&sparse, 3), None);
+        assert_eq!(find_reader(&[], 0), None);
+    }
+
+    #[test]
+    fn shared_order_is_stamp_order() {
+        let r = shared(&[(rec(2, 1), 9), (rec(0, 1), 3), (rec(1, 1), 5)], 4);
+        let tids: Vec<u32> = records(&r).iter().map(|r| r.tid).collect();
+        assert_eq!(tids, [0, 1, 2]);
+    }
+
+    #[test]
+    fn renumber_keeps_order_and_blocks_every_entry() {
+        let mut t = ShadowTable::new();
+        t.cell(0x1000).reads = shared(&[(rec(2, 1), 900), (rec(1, 1), 70)], 80);
+        t.cell(0x2000).reads = shared(&[(rec(0, 4), 5), (rec(3, 1), 4), (rec(1, 2), 6)], 0);
+        t.cell(0x3000).reads = ReadState::Exclusive(rec(1, 1));
+        assert_eq!(t.renumber_read_stamps(), 3);
+        for addr in [0x1000, 0x2000] {
+            let ReadState::Shared { reads, changed } = &t.get(addr).unwrap().reads else {
+                panic!("still shared");
+            };
+            let mut stamps: Vec<u32> = reads.iter().map(|e| e.stamp).collect();
+            stamps.sort_unstable();
+            assert_eq!(stamps, (1..=reads.len() as u32).collect::<Vec<_>>());
+            assert_eq!(*changed as usize, reads.len(), "no entry above the marker");
+        }
+        let tids = |a| -> Vec<u32> {
+            let r = records(&t.get(a).unwrap().reads);
+            r.iter().map(|r| r.tid).collect()
+        };
+        assert_eq!(tids(0x1000), [1, 2]);
+        assert_eq!(tids(0x2000), [3, 0, 1]);
+        assert_eq!(
+            t.get(0x3000).unwrap().reads,
+            ReadState::Exclusive(rec(1, 1))
+        );
+    }
+
     #[test]
     fn default_cell_is_empty() {
         let c = ShadowCell::default();
         assert!(c.last_write.is_none());
-        assert!(c.reads.as_slice().is_empty());
+        assert!(records(&c.reads).is_empty());
         assert_eq!(c.suspicions, 0);
         assert!(c.is_untouched());
     }
@@ -375,15 +590,15 @@ mod tests {
         let inline = c.approx_bytes();
         c.reads = ReadState::Exclusive(rec(0, 1));
         assert_eq!(c.approx_bytes(), inline, "exclusive read is inline");
-        c.reads = ReadState::Shared(vec![rec(0, 1), rec(1, 1)]);
+        c.reads = shared(&[(rec(0, 1), 1), (rec(1, 1), 2)], 0);
         assert!(c.approx_bytes() > inline, "promotion costs heap");
     }
 
     #[test]
     fn read_state_clear_keeps_shared_capacity() {
-        let mut r = ReadState::Shared(vec![rec(0, 1), rec(1, 1)]);
+        let mut r = shared(&[(rec(0, 1), 1), (rec(1, 1), 2)], 0);
         r.clear();
-        assert!(r.as_slice().is_empty());
+        assert!(records(&r).is_empty());
         assert!(r.is_shared(), "promoted cells stay promoted");
         let mut e = ReadState::Exclusive(rec(0, 1));
         e.clear();

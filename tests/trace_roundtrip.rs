@@ -265,3 +265,62 @@ fn reencoding_the_v1_fixture_changes_only_version_and_checksums() {
         "bytes outside version and checksums differ"
     );
 }
+
+use spinrace::detector::RaceDetector;
+use spinrace::vm::run_module;
+use spinrace::workloads::{Family, WorkloadSpec};
+
+/// The detector's read-path counters are a function of the event stream
+/// alone: a live run, an in-memory replay and a chunked streamed replay
+/// of the same zipf run count the same plain reads per read state and
+/// the same restamp exits.
+#[test]
+fn read_path_counts_agree_live_replayed_and_streamed() {
+    let spec = WorkloadSpec::new(Family::Zipf)
+        .threads(6)
+        .races(2)
+        .seed(11)
+        .with_total_events(60_000);
+    let wl = spec.build();
+    let tool = Tool::HelgrindLibSpin { window: 7 };
+    let prepared = Session::for_module(&wl.module)
+        .vm_config(spec.vm_config())
+        .prepare(tool)
+        .unwrap();
+    let cfg = prepared.default_config();
+
+    let mut live = RaceDetector::new(cfg);
+    run_module(prepared.module(), prepared.vm_config(), &mut live).unwrap();
+    let trace = prepared.execute().unwrap().into_trace();
+    let mut replayed = RaceDetector::new(cfg);
+    trace.replay(&mut replayed);
+    let bytes = encode_trace_chunked(&trace, 4096);
+    let reader = ChunkedTraceReader::new(Cursor::new(bytes)).unwrap();
+    assert!(reader.chunk_count() > 1, "the stream spans several chunks");
+    let mut streamed = RaceDetector::new(cfg);
+    reader.replay_into(&mut streamed).unwrap();
+
+    let counts = live.read_counts();
+    assert_eq!(replayed.read_counts(), counts);
+    assert_eq!(streamed.read_counts(), counts);
+    assert_eq!(streamed.reports().reports(), live.reports().reports());
+    // Every plain read is counted once (zipf promotes nothing), and the
+    // skewed shared table drives the shared state and its exit.
+    assert_eq!(live.promoted_locations(), 0);
+    let plain_reads = trace
+        .events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                Event::Read {
+                    atomic: None,
+                    spin: None,
+                    ..
+                }
+            )
+        })
+        .count() as u64;
+    assert_eq!(counts.empty + counts.exclusive + counts.shared, plain_reads);
+    assert!(counts.shared_exits * 2 > counts.shared, "{counts:?}");
+}
